@@ -20,6 +20,9 @@ __all__ = [
     "DelayLog",
     "default_delay_distribution",
     "sample_delay",
+    "sample_delays",
+    "quantize",
+    "ChannelSchedule",
     "ChannelInstance",
     "transmit",
     "measure_campaign",
@@ -183,23 +186,35 @@ class DelayLog:
 
 def sample_delay(dist: DelayDistribution, rng: np.random.Generator) -> float:
     """One delay draw; deterministic for a fixed generator state."""
+    return float(sample_delays(dist, rng, 1)[0])
+
+
+def sample_delays(dist: DelayDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n delay draws, bitwise equal to n successive ``sample_delay`` calls.
+
+    The generator is advanced in the same order: the histogram kind draws a
+    bin uniform and then a within-bin uniform per message, so both come from
+    one interleaved block of 2n uniforms.
+    """
     if dist.kind == "point-mass":
-        return dist.mean_s
+        return np.full(n, dist.mean_s)
     if dist.kind == "uniform":
-        return float(rng.uniform(dist.tau_min, dist.tau_max))
+        return rng.uniform(dist.tau_min, dist.tau_max, size=n)
     if dist.kind == "empirical-histogram":
         edges = np.asarray(dist.bin_edges)
         cum = np.cumsum(dist.bin_probs)
-        u = rng.uniform()
-        i = int(np.searchsorted(cum, u * cum[-1], side="right"))
-        i = min(i, len(dist.bin_probs) - 1)
-        return float(rng.uniform(edges[i], edges[i + 1]))
+        d = rng.uniform(size=2 * n)
+        u, v = d[0::2], d[1::2]
+        i = np.searchsorted(cum, u * cum[-1], side="right")
+        i = np.minimum(i, len(dist.bin_probs) - 1)
+        # Generator.uniform(low, high) returns low + (high - low) * u
+        return edges[i] + (edges[i + 1] - edges[i]) * v
     if dist.kind == "truncated-normal":
         # inverse-CDF through the uniform keeps the draw stream reproducible
         a = (dist.tau_min - dist.mu) / dist.sigma
         b = (dist.tau_max - dist.mu) / dist.sigma
-        u = rng.uniform()
-        return float(scipy.stats.truncnorm.ppf(u, a, b, loc=dist.mu, scale=dist.sigma))
+        u = rng.uniform(size=n)
+        return scipy.stats.truncnorm.ppf(u, a, b, loc=dist.mu, scale=dist.sigma)
     raise ChannelError(f"unknown delay kind {dist.kind!r}")
 
 
@@ -213,6 +228,28 @@ def _emission_times(cfg: ChannelConfig, duration_s: float, rng: np.random.Genera
         intervals = rng.exponential(period, size=n)
     t = np.cumsum(intervals)
     return t[t <= duration_s]
+
+
+def quantize(value: float, step: float) -> float:
+    """Round a sent value to the channel's quantization step (0 = off)."""
+    if step > 0:
+        return round(value / step) * step
+    return value
+
+
+@dataclass(frozen=True)
+class ChannelSchedule:
+    """A channel instance's events on a uniform simulation grid.
+
+    ``send_steps[i]`` is the first grid step at or after ``t_send[i]``, for
+    the messages sent within the grid.  ``applied`` lists the messages the
+    receiver applies, in the order it applies them, and ``apply_steps`` the
+    grid step at which each one is applied (non-decreasing).
+    """
+
+    send_steps: np.ndarray
+    applied: np.ndarray
+    apply_steps: np.ndarray
 
 
 class ChannelInstance:
@@ -229,8 +266,7 @@ class ChannelInstance:
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed) if rng is None else rng
         self.t_send = _emission_times(cfg, duration_s, rng)
-        delays = np.array([sample_delay(cfg.delay, rng) for _ in self.t_send])
-        self.t_arrive = self.t_send + delays
+        self.t_arrive = self.t_send + sample_delays(cfg.delay, rng, len(self.t_send))
         self._values = np.zeros_like(self.t_send)
         self._arrival_order = np.argsort(self.t_arrive, kind="stable")
         self._send_ptr = 0
@@ -239,16 +275,32 @@ class ChannelInstance:
         self._held = 0.0
         self.applied_times: list[float] = []
 
-    def _quantize(self, v: float) -> float:
-        q = self.cfg.quantization_step
-        if q > 0:
-            return round(v / q) * q
-        return v
+    def schedule(self, t_grid: np.ndarray) -> ChannelSchedule:
+        """The events that ``step`` would process over ``t_grid``.
+
+        Which message the receiver holds depends only on the send and arrival
+        instants, never on the values sent: arrivals due by the last grid
+        instant are taken in arrival order, and a message is applied only if
+        it was sent after the one held, i.e. the applied messages are the
+        running maxima of ``t_send`` in arrival order.
+        """
+        n = len(t_grid)
+        send_steps = np.searchsorted(t_grid, self.t_send, side="left")
+        order = self._arrival_order
+        arrived = order[self.t_arrive[order] <= t_grid[-1]]
+        ts = self.t_send[arrived]
+        fresh = ts > np.maximum.accumulate(np.concatenate(([-math.inf], ts[:-1])))
+        applied = arrived[fresh]
+        return ChannelSchedule(
+            send_steps=send_steps[send_steps < n],
+            applied=applied,
+            apply_steps=np.searchsorted(t_grid, self.t_arrive[applied], side="left"),
+        )
 
     def step(self, t: float, current_value: float) -> float:
         """Advance to time t, capturing sends and applying arrivals due by t."""
         while self._send_ptr < len(self.t_send) and self.t_send[self._send_ptr] <= t:
-            self._values[self._send_ptr] = self._quantize(current_value)
+            self._values[self._send_ptr] = quantize(current_value, self.cfg.quantization_step)
             self._send_ptr += 1
         while self._arr_ptr < len(self._arrival_order):
             i = self._arrival_order[self._arr_ptr]
@@ -296,11 +348,8 @@ def measure_campaign(
     if n_messages < 1:
         raise ChannelError("n_messages must be >= 1")
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    records = []
-    for i in range(n_messages):
-        t_sent = float(i)
-        records.append((t_sent, t_sent + sample_delay(cfg.delay, rng)))
-    return DelayLog(tuple(records))
+    delays = sample_delays(cfg.delay, rng, n_messages).tolist()
+    return DelayLog(tuple((float(i), i + d) for i, d in enumerate(delays)))
 
 
 def throughput_stats(

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._sim import zoh_discretize
-from .channel import ChannelConfig, ChannelInstance
+from .channel import ChannelConfig, ChannelInstance, ChannelSchedule, quantize
 from .errors import SimulationError
 from .lti import to_state_space
 from .poddesign import CompensatorDesign
@@ -82,33 +82,30 @@ def _controller_block(design: CompensatorDesign):
     return to_state_space(controller_tf(design))
 
 
-def run_closed_loop(
+@dataclass(frozen=True)
+class _LoopModel:
+    """The discretised plant-plus-controllers loop, acting on rows [z, u].
+
+    ``z`` is the combined state and ``u`` = (received p reference, received
+    q reference, disturbance pulse).  The next state is ``M [z, u]``; ``C``
+    maps a row to (omega_g, p controller output, q controller output).
+    """
+
+    M: np.ndarray
+    C: np.ndarray
+    n_plant: int
+    limits: np.ndarray
+    dist: AppliedDisturbance
+
+
+def _loop_model(
     plant: PlantPair,
     design_p: CompensatorDesign,
     design_q: CompensatorDesign,
-    channel_cfg: ChannelConfig,
     scenario: DisturbanceScenario,
-    seed: int,
-    pod_on: bool = True,
-    duration_s: float = 30.0,
-    dt: float = 1e-3,
-    participation: Participation = Participation(),
-) -> SimTrace:
-    """One seeded closed-loop transient.
-
-    Per step: measure omega_g, run washout -> compensator -> gain -> limiter
-    for each loop, transmit the central references through every unit's
-    channel, and integrate the plant with the mean of the received
-    references.  The POD branch closes as negative feedback on the measured
-    frequency deviation; the limiter acts on the central side before
-    transmission.
-    """
-    if dt > 1e-3:
-        raise SimulationError(f"simulation step {dt:g} s exceeds the 1 ms limit")
-    if duration_s <= 0:
-        raise SimulationError("duration must be positive")
+    dt: float,
+) -> _LoopModel:
     dist = apply_disturbance(plant, scenario)
-
     ctrl_p = _controller_block(design_p)
     ctrl_q = _controller_block(design_q)
     n = plant.A.shape[0]
@@ -136,95 +133,228 @@ def run_closed_loop(
     B[:n, 2] = pulse_B[:, 0]
     Ad, Bd = zoh_discretize(A, B, dt)
 
-    C_omega = np.zeros(N)
-    C_omega[:n] = plant.C[0]
-    # controller outputs y = Cc xc + Dc * (-omega_g)
-    Cy_p = np.zeros(N)
-    Cy_p[n : n + np_c] = ctrl_p.C[0]
-    Cy_p[:n] = -float(ctrl_p.D[0, 0]) * plant.C[0]
-    Cy_q = np.zeros(N)
-    Cy_q[n + np_c :] = ctrl_q.C[0]
-    Cy_q[:n] = -float(ctrl_q.D[0, 0]) * plant.C[0]
+    # outputs; the controllers emit y = Cc xc + Dc * (-omega_g)
+    C = np.zeros((3, N + 3))
+    C[0, :n] = plant.C[0]
+    C[1, n : n + np_c] = ctrl_p.C[0]
+    C[1, :n] = -float(ctrl_p.D[0, 0]) * plant.C[0]
+    C[2, n + np_c : N] = ctrl_q.C[0]
+    C[2, :n] = -float(ctrl_q.D[0, 0]) * plant.C[0]
+    return _LoopModel(
+        M=np.hstack([Ad, Bd]),
+        C=C,
+        n_plant=n,
+        limits=np.array([design_p.limit_pu, design_q.limit_pu]),
+        dist=dist,
+    )
 
-    n_steps = int(round(duration_s / dt))
-    t_grid = np.arange(n_steps) * dt
 
-    p_channels = [
-        ChannelInstance(
-            channel_cfg,
-            duration_s,
-            rng=np.random.default_rng(np.random.SeedSequence([seed, 0, i])),
-        )
-        for i in range(len(participation.p_units))
-    ]
-    q_channels = [
-        ChannelInstance(
-            channel_cfg,
-            duration_s,
-            rng=np.random.default_rng(np.random.SeedSequence([seed, 1, i])),
-        )
-        for i in range(len(participation.q_units))
-    ]
+def _channels(
+    channel_cfg: ChannelConfig, duration_s: float, seed: int, participation: Participation
+) -> tuple[list[ChannelInstance], list[ChannelInstance]]:
+    """The channel of unit i on loop l draws from SeedSequence([seed, l, i])."""
+    return tuple(
+        [
+            ChannelInstance(
+                channel_cfg,
+                duration_s,
+                rng=np.random.default_rng(np.random.SeedSequence([seed, loop, i])),
+            )
+            for i in range(len(units))
+        ]
+        for loop, units in enumerate((participation.p_units, participation.q_units))
+    )
 
-    z = np.zeros(N)
-    omega = np.empty(n_steps)
-    p_sent = np.zeros(n_steps)
-    p_recv = np.zeros(n_steps)
-    q_sent = np.zeros(n_steps)
-    q_recv = np.zeros(n_steps)
-    p_lim = design_p.limit_pu
-    q_lim = design_q.limit_pu
-    kicked = dist.start_s == 0.0
-    if kicked:
-        z[:n] += dist.state_delta
-    pulse_lo = dist.start_s
-    pulse_hi = dist.start_s + dist.duration_s
 
+def _schedules(channels, t_grid: np.ndarray) -> tuple[list[ChannelSchedule], ...]:
+    return tuple([ch.schedule(t_grid) for ch in chs] for chs in channels)
+
+
+def _events(runs) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
+    """Every channel event of a block, sorted by grid step.
+
+    The block's sent messages are numbered in one flat sequence, and
+    ``owner[m]`` is the (row, loop, unit) that sends message m.  An event is
+    its step and a signed message number: m for the send of m and ~m for
+    its application.  Within a step the sends come first; the applies of one
+    unit keep their order.
+    """
+    steps, msgs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    owner = []
+    for row, loops in enumerate(runs):
+        for loop, schedules in enumerate(loops or ()):
+            for unit, sch in enumerate(schedules):
+                # an applied message arrives within the grid, so it was sent
+                # within it: its index is below len(send_steps)
+                base = len(owner)
+                n_sent = len(sch.send_steps)
+                owner.extend([(row, loop, unit)] * n_sent)
+                steps += [sch.send_steps, sch.apply_steps]
+                msgs += [base + np.arange(n_sent), ~(base + sch.applied)]
+    step, msg = np.concatenate(steps), np.concatenate(msgs)
+    order = np.lexsort((msg < 0, step))
+    return step[order].tolist(), msg[order].tolist(), owner
+
+
+def _lockstep(
+    model: _LoopModel,
+    t_grid: np.ndarray,
+    runs: list,
+    quantization_step: float,
+    record_io: bool = False,
+):
+    """Advance len(runs) closed loops together on ``t_grid``.
+
+    ``runs[r]`` holds the (p, q) lists of run r's channel schedules, or is
+    None for a POD-off run.  The runs share one run-major state array X,
+    row r = [z, u] of run r.  Both products of a step are
+    ``einsum('kj,ij->ki', X, .)``, which reduces each row on its own in a
+    fixed order, so a run's numbers do not depend on the other rows: a run
+    is bitwise the same alone or in any block.
+
+    Per step: measure the outputs of every row, process the channel events
+    due (a send captures the limited, quantized controller output of its
+    run; an apply updates the unit's held value and that run's received
+    mean), then propagate.  Returns omega_g as (steps, runs) and, with
+    ``record_io``, the limited and the received (p, q) references as
+    (steps, runs, 2).
+    """
+    n_steps = len(t_grid)
+    R = len(runs)
+    N = model.M.shape[0]
+    M, C, dist = model.M, model.C, model.dist
+    lim = model.limits.tolist()
+
+    # disturbance: a state kick added at the first step at or after the
+    # start, or a pulse held on the third input over [start, start + duration)
+    kick, pulse = {}, {}
+    if dist.pulse_target is None:
+        kick = {int(np.searchsorted(t_grid, dist.start_s, side="left")): dist.state_delta}
+    else:
+        t_on, t_off = dist.start_s, dist.start_s + dist.duration_s
+        pulse = {int(np.searchsorted(t_grid, t_on, side="left")): dist.magnitude}
+        pulse[int(np.searchsorted(t_grid, t_off, side="left"))] = 0.0
+
+    ev_step, ev_msg, owner = _events(runs)
+    ev_step.append(n_steps)  # sentinel
+    values = [0.0] * len(owner)
+    held = [[[0.0] * len(s) for s in loops] if loops else None for loops in runs]
+
+    X = np.zeros((R, N + 3))
+    # the outputs of every step: all three when recording, else omega_g only
+    w = 3 if record_io else 1
+    out = np.empty((n_steps, R, w))
+    recv = np.zeros((n_steps, R, 2)) if record_io else None
+    ptr = 0
+    due = ev_step[0]
     for k in range(n_steps):
-        t = t_grid[k]
-        if not kicked and dist.pulse_target is None and t >= dist.start_s:
-            z[:n] += dist.state_delta
-            kicked = True
-        omega[k] = C_omega @ z
-        if pod_on:
-            ps = min(max(Cy_p @ z, -p_lim), p_lim)
-            qs = min(max(Cy_q @ z, -q_lim), q_lim)
-            p_sent[k] = ps
-            q_sent[k] = qs
-            pr = math.fsum(ch.step(t, ps) for ch in p_channels) / len(p_channels)
-            qr = math.fsum(ch.step(t, qs) for ch in q_channels) / len(q_channels)
-            p_recv[k] = pr
-            q_recv[k] = qr
-        else:
-            pr = qr = 0.0
-        pulse = (
-            dist.magnitude
-            if dist.pulse_target is not None and pulse_lo <= t < pulse_hi
-            else 0.0
-        )
-        z = Ad @ z + Bd @ (pr, qr, pulse)
+        if k in kick:
+            X[:, : model.n_plant] += kick[k]
+        if k in pulse:
+            X[:, N + 2] = pulse[k]
+        Y = np.einsum("kj,ij->ki", X, C, optimize=False)
+        out[k] = Y[:, :w]
+        if k == due:
+            Yl = Y.tolist()
+            while due == k:
+                m = ev_msg[ptr]
+                if m >= 0:
+                    r, loop, _ = owner[m]
+                    sent = min(max(Yl[r][1 + loop], -lim[loop]), lim[loop])
+                    values[m] = quantize(sent, quantization_step)
+                else:
+                    r, loop, unit = owner[~m]
+                    h = held[r][loop]
+                    h[unit] = values[~m]
+                    X[r, N + loop] = math.fsum(h) / len(h)
+                ptr += 1
+                due = ev_step[ptr]
+        if record_io:
+            recv[k] = X[:, N : N + 2]
+        X[:, :N] = np.einsum("kj,ij->ki", X, M, optimize=False)
+    omega = out[:, :, 0]
+    sent = np.clip(out[:, :, 1:], -model.limits, model.limits) if record_io else None
+    return omega, sent, recv
 
+
+def run_closed_loop(
+    plant: PlantPair,
+    design_p: CompensatorDesign,
+    design_q: CompensatorDesign,
+    channel_cfg: ChannelConfig,
+    scenario: DisturbanceScenario,
+    seed: int,
+    pod_on: bool = True,
+    duration_s: float = 30.0,
+    dt: float = 1e-3,
+    participation: Participation = Participation(),
+) -> SimTrace:
+    """One seeded closed-loop transient: the one-run case of the lockstep
+    kernel.
+
+    Per step: measure omega_g, run washout -> compensator -> gain -> limiter
+    for each loop, transmit the central references through every unit's
+    channel, and integrate the plant with the mean of the received
+    references.  The POD branch closes as negative feedback on the measured
+    frequency deviation; the limiter acts on the central side before
+    transmission.
+    """
+    _check_grid(duration_s, dt)
+    model = _loop_model(plant, design_p, design_q, scenario, dt)
+    t_grid = np.arange(int(round(duration_s / dt))) * dt
+    n = len(t_grid)
+    if pod_on:
+        channels = _channels(channel_cfg, duration_s, seed, participation)
+        schedules = _schedules(channels, t_grid)
+        omega, sent, recv = _lockstep(
+            model, t_grid, [schedules], channel_cfg.quantization_step, record_io=True
+        )
+        sent, recv = sent[:, 0], recv[:, 0]
+        applied = tuple(
+            tuple(tuple(ch.t_arrive[s.applied].tolist()) for ch, s in zip(chs, schs))
+            for chs, schs in zip(channels, schedules)
+        )
+    else:
+        omega, _, _ = _lockstep(model, t_grid, [None], channel_cfg.quantization_step)
+        sent = recv = np.zeros((n, 2))
+        applied = ((),) * len(participation.p_units), ((),) * len(participation.q_units)
     return SimTrace(
         t_s=t_grid,
-        omega_g_pu=omega,
-        p_D_sent=p_sent,
-        p_D_recv=p_recv,
-        q_D_sent=q_sent,
-        q_D_recv=q_recv,
+        omega_g_pu=omega[:, 0],
+        p_D_sent=sent[:, 0],
+        p_D_recv=recv[:, 0],
+        q_D_sent=sent[:, 1],
+        q_D_recv=recv[:, 1],
         pod_enabled=pod_on,
         seed=seed,
-        p_applied_times=tuple(tuple(ch.applied_times) for ch in p_channels),
-        q_applied_times=tuple(tuple(ch.applied_times) for ch in q_channels),
+        p_applied_times=applied[0],
+        q_applied_times=applied[1],
     )
+
+
+def _check_grid(duration_s: float, dt: float) -> None:
+    if dt > 1e-3:
+        raise SimulationError(f"simulation step {dt:g} s exceeds the 1 ms limit")
+    if duration_s <= 0:
+        raise SimulationError("duration must be positive")
 
 
 def damping_metric(trace: SimTrace, window: tuple[float, float]) -> float:
     """Trapezoidal integral of omega_g^2 over the window (pu^2 * s)."""
+    return _window_energy(trace.t_s, trace.omega_g_pu, window)
+
+
+def _window_energy(t_s: np.ndarray, omega: np.ndarray, window: tuple[float, float]) -> float:
     t0, t1 = window
-    mask = (trace.t_s >= t0) & (trace.t_s <= t1)
+    mask = (t_s >= t0) & (t_s <= t1)
     if int(np.sum(mask)) < 2:
         raise SimulationError(f"window {window} selects fewer than two samples")
-    return float(np.trapezoid(trace.omega_g_pu[mask] ** 2, trace.t_s[mask]))
+    return float(np.trapezoid(omega[mask] ** 2, t_s[mask]))
+
+
+# runs advanced together per kernel call: a block holds one omega history
+# per run, so wider blocks trade memory for fewer Python-level steps
+_BLOCK_RUNS = 17
 
 
 def ensemble(
@@ -240,21 +370,29 @@ def ensemble(
     dt: float = 1e-3,
     participation: Participation = Participation(),
 ) -> EnsembleStats:
-    """Seeded Monte-Carlo ensemble; run i uses seed base_seed + i."""
+    """Seeded Monte-Carlo ensemble; run i uses seed base_seed + i.
+
+    The POD-off baseline and the runs go through the lockstep kernel in
+    blocks of ``_BLOCK_RUNS``; each run's metric equals that of
+    ``run_closed_loop`` with its seed, bit for bit.
+    """
     if n_runs < 1:
         raise SimulationError("n_runs must be >= 1")
-    baseline_trace = run_closed_loop(
-        plant, design_p, design_q, channel_cfg, scenario, seed=base_seed,
-        pod_on=False, duration_s=duration_s, dt=dt, participation=participation,
-    )
-    baseline = damping_metric(baseline_trace, metric_window)
-    metrics = []
-    for i in range(n_runs):
-        trace = run_closed_loop(
-            plant, design_p, design_q, channel_cfg, scenario, seed=base_seed + i,
-            pod_on=True, duration_s=duration_s, dt=dt, participation=participation,
-        )
-        metrics.append(damping_metric(trace, metric_window))
+    _check_grid(duration_s, dt)
+    model = _loop_model(plant, design_p, design_q, scenario, dt)
+    t_grid = np.arange(int(round(duration_s / dt))) * dt
+    seeds = [None] + [base_seed + i for i in range(n_runs)]  # None: the baseline
+    energies = []
+    for b in range(0, len(seeds), _BLOCK_RUNS):
+        runs = [
+            None if seed is None
+            else _schedules(_channels(channel_cfg, duration_s, seed, participation), t_grid)
+            for seed in seeds[b : b + _BLOCK_RUNS]
+        ]
+        omega = _lockstep(model, t_grid, runs, channel_cfg.quantization_step)[0]
+        energies += [_window_energy(t_grid, w, metric_window) for w in omega.T]
+        del omega  # free this block's history before the next one is made
+    baseline, metrics = energies[0], energies[1:]
     return EnsembleStats(
         n_runs=n_runs,
         metrics=tuple(metrics),

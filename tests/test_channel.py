@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,10 +15,34 @@ from podlab.channel import (
     measure_campaign,
     nyquist_limit,
     sample_delay,
+    sample_delays,
     throughput_stats,
     transmit,
 )
 from podlab.errors import ChannelError
+
+DELAY_KINDS = (
+    default_delay_distribution(0.3),
+    DelayDistribution.uniform(0.15, 0.45),
+    DelayDistribution.truncated_normal(0.3, 0.075, 0.05, 1.5),
+    DelayDistribution.point_mass(0.3),
+)
+
+
+def _scalar_draw(dist, rng):
+    """One delay per generator call sequence, written with scalar draws."""
+    if dist.kind == "point-mass":
+        return dist.mean_s
+    if dist.kind == "uniform":
+        return float(rng.uniform(dist.tau_min, dist.tau_max))
+    if dist.kind == "empirical-histogram":
+        cum = np.cumsum(dist.bin_probs)
+        i = int(np.searchsorted(cum, rng.uniform() * cum[-1], side="right"))
+        i = min(i, len(dist.bin_probs) - 1)
+        return float(rng.uniform(dist.bin_edges[i], dist.bin_edges[i + 1]))
+    a = (dist.tau_min - dist.mu) / dist.sigma
+    b = (dist.tau_max - dist.mu) / dist.sigma
+    return float(scipy.stats.truncnorm.ppf(rng.uniform(), a, b, loc=dist.mu, scale=dist.sigma))
 
 
 class TestDelayDistribution:
@@ -68,6 +93,41 @@ class TestDelayDistribution:
         for _ in range(20):
             v = sample_delay(d, rng)
             assert a <= v <= a + w
+
+
+class TestVectorisedDraws:
+    @pytest.mark.parametrize("dist", DELAY_KINDS, ids=lambda d: d.kind)
+    def test_block_equals_sequential_draws(self, dist):
+        for seed in range(20):
+            n = 1 + 17 * seed
+            ref_rng = np.random.default_rng(seed)
+            ref = np.array([_scalar_draw(dist, ref_rng) for _ in range(n)])
+            rng = np.random.default_rng(seed)
+            assert np.array_equal(sample_delays(dist, rng, n), ref)
+            one_rng = np.random.default_rng(seed)
+            assert np.array_equal([sample_delay(dist, one_rng) for _ in range(n)], ref)
+            # the generator is left where the sequential draws leave it
+            assert rng.uniform() == ref_rng.uniform() == one_rng.uniform()
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("dist", DELAY_KINDS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("emission", ["jittered-periodic", "poisson"])
+    def test_schedule_matches_online_stepping(self, dist, emission):
+        # the value sent at step k is k, so the held value names the step
+        # that captured the held message
+        cfg = ChannelConfig(delay=dist, rate_hz=6.0, emission=emission)
+        t_grid = np.arange(20_000) * 1e-3
+        for seed in range(3):
+            online = ChannelInstance(cfg, 20.0, rng=np.random.default_rng(seed))
+            held = np.array([online.step(t, float(k)) for k, t in enumerate(t_grid)])
+            sch = ChannelInstance(cfg, 20.0, rng=np.random.default_rng(seed)).schedule(t_grid)
+            assert online.applied_times == online.t_arrive[sch.applied].tolist()
+            assert np.all(np.diff(sch.apply_steps) >= 0)
+            assert np.all(np.diff(online.t_send[sch.applied]) > 0)
+            j = np.searchsorted(sch.apply_steps, np.arange(len(t_grid)), side="right") - 1
+            expect = np.where(j >= 0, sch.send_steps[sch.applied[j]], 0)
+            assert np.array_equal(held, expect)
 
 
 class TestTransmit:

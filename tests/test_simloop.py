@@ -1,10 +1,17 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from podlab import simloop
 from podlab._sim import zoh_lsim
-from podlab.channel import ChannelConfig, DelayDistribution, default_delay_distribution
+from podlab.channel import (
+    ChannelConfig,
+    ChannelInstance,
+    DelayDistribution,
+    default_delay_distribution,
+)
 from podlab.config import channel_config, scenario_config
 from podlab.errors import SimulationError
 from podlab.refplant import DisturbanceScenario, apply_disturbance
@@ -29,6 +36,108 @@ def chan(cfg):
 @pytest.fixture(scope="module")
 def scenario(cfg):
     return scenario_config(cfg)
+
+
+def _reference_run(plant, dp, dq, chan, scenario, seed, duration_s, dt=1e-3):
+    """The closed loop stepped one grid instant at a time through
+    ChannelInstance.step: an independent oracle for the lockstep kernel."""
+    model = simloop._loop_model(plant, dp, dq, scenario, dt)
+    N = model.M.shape[0]
+    Ad, Bd, C = model.M[:, :N], model.M[:, N:], model.C[:, :N]
+    dist = model.dist
+    part = Participation()
+    p_ch, q_ch = (
+        [
+            ChannelInstance(
+                chan, duration_s, rng=np.random.default_rng(np.random.SeedSequence([seed, loop, i]))
+            )
+            for i in range(len(units))
+        ]
+        for loop, units in enumerate((part.p_units, part.q_units))
+    )
+    t_grid = np.arange(int(round(duration_s / dt))) * dt
+    z = np.zeros(N)
+    omega = np.empty(len(t_grid))
+    kicked = False
+    for k, t in enumerate(t_grid):
+        if dist.pulse_target is None and not kicked and t >= dist.start_s:
+            z[: model.n_plant] += dist.state_delta
+            kicked = True
+        y = C @ z
+        omega[k] = y[0]
+        ps = min(max(y[1], -dp.limit_pu), dp.limit_pu)
+        qs = min(max(y[2], -dq.limit_pu), dq.limit_pu)
+        pr = math.fsum(ch.step(t, ps) for ch in p_ch) / len(p_ch)
+        qr = math.fsum(ch.step(t, qs) for ch in q_ch) / len(q_ch)
+        on = dist.pulse_target is not None and dist.start_s <= t < dist.start_s + dist.duration_s
+        z = Ad @ z + Bd @ (pr, qr, dist.magnitude if on else 0.0)
+    applied = tuple(tuple(tuple(ch.applied_times) for ch in chs) for chs in (p_ch, q_ch))
+    return omega, applied
+
+
+KINDS = (
+    default_delay_distribution(0.3),
+    DelayDistribution.uniform(0.15, 0.45),
+    DelayDistribution.truncated_normal(0.3, 0.075, 0.05, 1.5),
+    DelayDistribution.point_mass(0.3),
+)
+
+
+class TestLockstepKernel:
+    @pytest.mark.parametrize("delay", KINDS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("emission", ["jittered-periodic", "poisson"])
+    @pytest.mark.parametrize("q", [0.0, 0.002])
+    def test_matches_per_step_reference(self, plant, designs, scenario, delay, emission, q):
+        dp, dq = designs
+        chan = ChannelConfig(delay=delay, rate_hz=5.0, quantization_step=q, emission=emission)
+        trace = run_closed_loop(plant, dp, dq, chan, scenario, seed=11, duration_s=6.0)
+        omega, applied = _reference_run(plant, dp, dq, chan, scenario, seed=11, duration_s=6.0)
+        assert (trace.p_applied_times, trace.q_applied_times) == applied
+        err = np.max(np.abs(trace.omega_g_pu - omega))
+        assert err <= 1e-12 * np.max(np.abs(omega))
+
+    def test_pulse_scenario_matches_reference(self, plant, designs, chan):
+        dp, dq = designs
+        pulse = DisturbanceScenario(
+            kind="input-step-pulse", magnitude=0.05, start_s=0.5, duration_s=0.2, target="p-input"
+        )
+        trace = run_closed_loop(plant, dp, dq, chan, pulse, seed=4, duration_s=4.0)
+        omega, applied = _reference_run(plant, dp, dq, chan, pulse, seed=4, duration_s=4.0)
+        assert (trace.p_applied_times, trace.q_applied_times) == applied
+        assert np.max(np.abs(trace.omega_g_pu - omega)) <= 1e-12 * np.max(np.abs(omega))
+
+    def test_run_is_bitwise_independent_of_batch_width(self, plant, designs, chan, scenario):
+        dp, dq = designs
+        model = simloop._loop_model(plant, dp, dq, scenario, 1e-3)
+        t_grid = np.arange(3000) * 1e-3
+        runs = [
+            simloop._schedules(simloop._channels(chan, 3.0, seed, Participation()), t_grid)
+            for seed in range(50)
+        ]
+
+        def omega(rows):
+            return simloop._lockstep(model, t_grid, rows, chan.quantization_step)[0]
+
+        wide = omega(runs)
+        block = omega(runs[3:10])
+        for i in range(7):
+            assert np.array_equal(block[:, i], wide[:, 3 + i])
+        for i in (0, 5, 49):
+            assert np.array_equal(omega(runs[i : i + 1])[:, 0], wide[:, i])
+
+    def test_ensemble_run_past_first_block_matches_direct_call(
+        self, plant, designs, chan, scenario
+    ):
+        dp, dq = designs
+        n = simloop._BLOCK_RUNS + 2  # the baseline fills a row of the first block
+        stats = ensemble(n, 5, plant, dp, dq, chan, scenario, (0.5, 3.0), duration_s=3.0)
+        for i in (0, n - 2, n - 1):
+            trace = run_closed_loop(plant, dp, dq, chan, scenario, seed=5 + i, duration_s=3.0)
+            assert stats.metrics[i] == damping_metric(trace, (0.5, 3.0))
+        off = run_closed_loop(
+            plant, dp, dq, chan, scenario, seed=5, pod_on=False, duration_s=3.0
+        )
+        assert stats.baseline_metric == damping_metric(off, (0.5, 3.0))
 
 
 class TestRunClosedLoop:
