@@ -130,6 +130,47 @@ class TestSchedule:
             assert np.array_equal(held, expect)
 
 
+class TestEmissionSchedule:
+    RATE, DURATION = 3.5, 30.0
+
+    def _instance(self, emission, seed):
+        cfg = ChannelConfig(
+            delay=DelayDistribution.uniform(0.1, 0.5), rate_hz=self.RATE, emission=emission
+        )
+        return ChannelInstance(cfg, self.DURATION, rng=np.random.default_rng(seed))
+
+    def test_poisson_schedule_runs_to_the_end(self):
+        # the silent tail of a Poisson stream before the end of the window
+        # is exponential at the message rate: P(tail >= 1 s) = exp(-3.5),
+        # about 3 %, and P(tail >= 4 s) = exp(-14) per schedule
+        tails = np.array(
+            [self.DURATION - self._instance("poisson", s).t_send[-1] for s in range(2000)]
+        )
+        assert np.mean(tails >= 1.0) < 0.06
+        assert tails.max() < 4.0
+
+    @pytest.mark.parametrize("emission", ["jittered-periodic", "poisson"])
+    def test_first_block_decides_the_schedules_it_covers(self, emission):
+        n = math.ceil(self.DURATION * self.RATE) + 4
+        period = 1.0 / self.RATE
+        covered = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            if emission == "poisson":
+                first = np.cumsum(rng.exponential(period, size=n))
+            else:
+                first = np.cumsum(period * (1.0 + rng.uniform(-0.2, 0.2, size=n)))
+            inst = self._instance(emission, seed)
+            k = int(np.count_nonzero(first <= self.DURATION))
+            assert np.array_equal(inst.t_send[:k], first[:k])
+            if first[-1] > self.DURATION:
+                covered += 1
+                assert len(inst.t_send) == k
+                delays = rng.uniform(0.1, 0.5, size=k)
+                assert np.array_equal(inst.t_arrive, inst.t_send + delays)
+        assert covered > 100
+
+
 class TestTransmit:
     def test_transparent_channel(self):
         cfg = ChannelConfig(
