@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import nyquist_limit
 from .delaymodel import DelaySurrogate
-from .errors import DesignError, InfeasibleOperatingPointError, NyquistLimitError
+from .errors import AnalysisError, DesignError, InfeasibleOperatingPointError, NyquistLimitError
 from .lti import StateSpace, TransferFunction, phase_at, series, to_state_space
 from .sysid import IdentifiedPlant
 
@@ -393,7 +393,9 @@ def select_gain(
 
     Feasible gains keep every closed-loop eigenvalue strictly in the left
     half-plane with a 6 dB gain margin (the loop at twice the gain must also
-    be stable).  K = 0 is the always-feasible fallback.
+    be stable).  K = 0 is the always-feasible fallback.  A candidate whose
+    eigen study raises AnalysisError or LinAlgError is skipped; DesignError
+    is raised when every non-zero candidate is.
     """
     from .analysis import closed_loop_modes  # local import avoids a cycle
 
@@ -406,17 +408,18 @@ def select_gain(
     best_k = 0.0
     base = closed_loop_modes(plant_ss, design, surrogate, 0.0, target_modes_hz)
     best_score = min(m.damping_ratio for m in base.target_modes)
-    for K in K_grid:
-        if K == 0.0:
-            continue
+    candidates = K_grid[K_grid != 0.0]
+    skipped = []
+    for K in candidates:
         try:
             cur = closed_loop_modes(plant_ss, design, surrogate, float(K), target_modes_hz)
             margin = closed_loop_modes(
                 plant_ss, design, surrogate, 2.0 * float(K), target_modes_hz
             )
-        except DesignError:
-            continue
-        except Exception:
+        except (AnalysisError, np.linalg.LinAlgError) as exc:
+            # an eigen study that cannot match the target modes rules the
+            # candidate out; any other failure is a fault and propagates
+            skipped.append(f"K={K:g}: {exc}")
             continue
         if not (cur.stable and margin.stable):
             continue
@@ -424,4 +427,9 @@ def select_gain(
         if score > best_score:
             best_score = score
             best_k = float(K)
+    if len(candidates) and len(skipped) == len(candidates):
+        raise DesignError(
+            f"all {len(skipped)} non-zero gain candidates failed their eigen study; "
+            f"first: {skipped[0]}"
+        )
     return best_k

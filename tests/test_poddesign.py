@@ -4,7 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from podlab.errors import DesignError, InfeasibleOperatingPointError, NyquistLimitError
+from podlab.errors import (
+    AnalysisError,
+    DesignError,
+    InfeasibleOperatingPointError,
+    NyquistLimitError,
+)
 from podlab.lti import phase_at, series
 from podlab.poddesign import (
     CompensatorDesign,
@@ -281,6 +286,36 @@ class TestSelectGain:
         K = select_gain(plant.p_path, ld.design, surrogate, (0.45, 0.90),
                         K_grid=np.array([1e5, 1e6]))
         assert K == 0.0
+
+    def test_unexpected_error_propagates(self, plant, surrogate, loop_designs, monkeypatch):
+        from podlab import analysis
+
+        real = analysis.closed_loop_modes
+
+        def broken(plant_ss, design, surrogate, gain, targets):
+            if gain > 0.0:
+                raise RuntimeError("injected fault")
+            return real(plant_ss, design, surrogate, gain, targets)
+
+        monkeypatch.setattr(analysis, "closed_loop_modes", broken)
+        with pytest.raises(RuntimeError, match="injected fault"):
+            select_gain(plant.p_path, loop_designs[0].design, surrogate, (0.45, 0.90),
+                        K_grid=np.array([0.1, 1.0]))
+
+    def test_all_candidates_skipped_raises(self, plant, surrogate, loop_designs, monkeypatch):
+        from podlab import analysis
+
+        real = analysis.closed_loop_modes
+
+        def ambiguous(plant_ss, design, surrogate, gain, targets):
+            if gain > 0.0:
+                raise AnalysisError("mode-matching ambiguity")
+            return real(plant_ss, design, surrogate, gain, targets)
+
+        monkeypatch.setattr(analysis, "closed_loop_modes", ambiguous)
+        with pytest.raises(DesignError, match="all 2 non-zero gain candidates"):
+            select_gain(plant.p_path, loop_designs[0].design, surrogate, (0.45, 0.90),
+                        K_grid=np.array([0.0, 0.1, 1.0]))
 
     def test_selected_gain_in_grid_improves_damping(self, plant, surrogate, loop_designs):
         from podlab.analysis import closed_loop_modes
