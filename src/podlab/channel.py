@@ -296,7 +296,8 @@ class ChannelInstance:
         n = len(t_grid)
         send_steps = np.searchsorted(t_grid, self.t_send, side="left")
         order = self._arrival_order
-        arrived = order[self.t_arrive[order] <= t_grid[-1]]
+        t_last = t_grid[-1] if n else -math.inf
+        arrived = order[self.t_arrive[order] <= t_last]
         ts = self.t_send[arrived]
         fresh = ts > np.maximum.accumulate(np.concatenate(([-math.inf], ts[:-1])))
         applied = arrived[fresh]

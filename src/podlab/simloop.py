@@ -316,7 +316,7 @@ def run_closed_loop(
         )
     else:
         omega, _, _ = _lockstep(model, t_grid, [None], channel_cfg.quantization_step)
-        sent = recv = np.zeros((n, 2))
+        sent, recv = np.zeros((n, 2)), np.zeros((n, 2))
         applied = ((),) * len(participation.p_units), ((),) * len(participation.q_units)
     return SimTrace(
         t_s=t_grid,
