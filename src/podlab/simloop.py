@@ -88,11 +88,14 @@ class _LoopModel:
 
     ``z`` is the combined state and ``u`` = (received p reference, received
     q reference, disturbance pulse).  The next state is ``M [z, u]``; ``C``
-    maps a row to (omega_g, p controller output, q controller output).
+    maps a row to (omega_g, p controller output, q controller output), which
+    depend on ``z`` only.  ``W`` = [M; C M] gives the next state and its
+    outputs in one product.
     """
 
     M: np.ndarray
     C: np.ndarray
+    W: np.ndarray
     n_plant: int
     limits: np.ndarray
     dist: AppliedDisturbance
@@ -140,9 +143,11 @@ def _loop_model(
     C[1, :n] = -float(ctrl_p.D[0, 0]) * plant.C[0]
     C[2, n + np_c : N] = ctrl_q.C[0]
     C[2, :n] = -float(ctrl_q.D[0, 0]) * plant.C[0]
+    M = np.hstack([Ad, Bd])
     return _LoopModel(
-        M=np.hstack([Ad, Bd]),
+        M=M,
         C=C,
+        W=np.vstack([M, C[:, :N] @ M]),
         n_plant=n,
         limits=np.array([design_p.limit_pu, design_q.limit_pu]),
         dist=dist,
@@ -207,12 +212,13 @@ def _lockstep(
 
     ``runs[r]`` holds the (p, q) lists of run r's channel schedules, or is
     None for a POD-off run.  The runs share one run-major state array X,
-    row r = [z, u] of run r.  Both products of a step are
-    ``einsum('kj,ij->ki', X, .)``, which reduces each row on its own in a
-    fixed order, so a run's numbers do not depend on the other rows: a run
-    is bitwise the same alone or in any block.
+    row r = [z, u] of run r.  A step is one product
+    ``einsum('kj,ij->ki', X, W)``, giving the next state and its outputs;
+    it reduces each row on its own in a fixed order, so a run's numbers do
+    not depend on the other rows: a run is bitwise the same alone or in any
+    block.
 
-    Per step: measure the outputs of every row, process the channel events
+    Per step: take the outputs of every row, process the channel events
     due (a send captures the limited, quantized controller output of its
     run; an apply updates the unit's held value and that run's received
     mean), then propagate.  Returns omega_g as (steps, runs) and, with
@@ -222,7 +228,7 @@ def _lockstep(
     n_steps = len(t_grid)
     R = len(runs)
     N = model.M.shape[0]
-    M, C, dist = model.M, model.C, model.dist
+    C, W, dist = model.C, model.W, model.dist
     lim = model.limits.tolist()
 
     # disturbance: a state kick added at the first step at or after the
@@ -247,12 +253,13 @@ def _lockstep(
     recv = np.zeros((n_steps, R, 2)) if record_io else None
     ptr = 0
     due = ev_step[0]
+    Y = np.einsum("kj,ij->ki", X, C, optimize=False)
     for k in range(n_steps):
         if k in kick:
             X[:, : model.n_plant] += kick[k]
+            Y = np.einsum("kj,ij->ki", X, C, optimize=False)
         if k in pulse:
             X[:, N + 2] = pulse[k]
-        Y = np.einsum("kj,ij->ki", X, C, optimize=False)
         out[k] = Y[:, :w]
         if k == due:
             Yl = Y.tolist()
@@ -271,7 +278,9 @@ def _lockstep(
                 due = ev_step[ptr]
         if record_io:
             recv[k] = X[:, N : N + 2]
-        X[:, :N] = np.einsum("kj,ij->ki", X, M, optimize=False)
+        P = np.einsum("kj,ij->ki", X, W, optimize=False)
+        X[:, :N] = P[:, :N]
+        Y = P[:, N:]
     omega = out[:, :, 0]
     sent = np.clip(out[:, :, 1:], -model.limits, model.limits) if record_io else None
     return omega, sent, recv

@@ -38,13 +38,14 @@ def scenario(cfg):
     return scenario_config(cfg)
 
 
-def _reference_run(plant, dp, dq, chan, scenario, seed, duration_s, dt=1e-3):
-    """The closed loop stepped one grid instant at a time through
-    ChannelInstance.step: an independent oracle for the lockstep kernel."""
-    model = simloop._loop_model(plant, dp, dq, scenario, dt)
+def _reference_run(model, chan, seed, duration_s, dt=1e-3):
+    """The closed loop of ``model`` stepped one grid instant at a time
+    through ChannelInstance.step: an independent oracle for the lockstep
+    kernel."""
     N = model.M.shape[0]
     Ad, Bd, C = model.M[:, :N], model.M[:, N:], model.C[:, :N]
     dist = model.dist
+    p_lim, q_lim = model.limits
     part = Participation()
     p_ch, q_ch = (
         [
@@ -65,8 +66,8 @@ def _reference_run(plant, dp, dq, chan, scenario, seed, duration_s, dt=1e-3):
             kicked = True
         y = C @ z
         omega[k] = y[0]
-        ps = min(max(y[1], -dp.limit_pu), dp.limit_pu)
-        qs = min(max(y[2], -dq.limit_pu), dq.limit_pu)
+        ps = min(max(y[1], -p_lim), p_lim)
+        qs = min(max(y[2], -q_lim), q_lim)
         pr = math.fsum(ch.step(t, ps) for ch in p_ch) / len(p_ch)
         qr = math.fsum(ch.step(t, qs) for ch in q_ch) / len(q_ch)
         on = dist.pulse_target is not None and dist.start_s <= t < dist.start_s + dist.duration_s
@@ -91,7 +92,8 @@ class TestLockstepKernel:
         dp, dq = designs
         chan = ChannelConfig(delay=delay, rate_hz=5.0, quantization_step=q, emission=emission)
         trace = run_closed_loop(plant, dp, dq, chan, scenario, seed=11, duration_s=6.0)
-        omega, applied = _reference_run(plant, dp, dq, chan, scenario, seed=11, duration_s=6.0)
+        model = simloop._loop_model(plant, dp, dq, scenario, 1e-3)
+        omega, applied = _reference_run(model, chan, seed=11, duration_s=6.0)
         assert (trace.p_applied_times, trace.q_applied_times) == applied
         err = np.max(np.abs(trace.omega_g_pu - omega))
         assert err <= 1e-12 * np.max(np.abs(omega))
@@ -102,9 +104,25 @@ class TestLockstepKernel:
             kind="input-step-pulse", magnitude=0.05, start_s=0.5, duration_s=0.2, target="p-input"
         )
         trace = run_closed_loop(plant, dp, dq, chan, pulse, seed=4, duration_s=4.0)
-        omega, applied = _reference_run(plant, dp, dq, chan, pulse, seed=4, duration_s=4.0)
+        model = simloop._loop_model(plant, dp, dq, pulse, 1e-3)
+        omega, applied = _reference_run(model, chan, seed=4, duration_s=4.0)
         assert (trace.p_applied_times, trace.q_applied_times) == applied
         assert np.max(np.abs(trace.omega_g_pu - omega)) <= 1e-12 * np.max(np.abs(omega))
+
+    def test_kick_on_measured_states_matches_reference(self, plant, designs, chan, scenario):
+        # the reference impulse kicks states that omega_g does not read;
+        # kick the read ones, so the outputs move at the kick step itself
+        dp, dq = designs
+        model = simloop._loop_model(plant, dp, dq, scenario, 1e-3)
+        delta = 0.05 * model.C[0, : model.n_plant]
+        model = dataclasses.replace(model, dist=dataclasses.replace(model.dist, state_delta=delta))
+        t_grid = np.arange(4000) * 1e-3
+        schedules = simloop._schedules(simloop._channels(chan, 4.0, 3, Participation()), t_grid)
+        omega = simloop._lockstep(model, t_grid, [schedules], chan.quantization_step)[0][:, 0]
+        ref, _ = _reference_run(model, chan, seed=3, duration_s=4.0)
+        k0 = int(np.searchsorted(t_grid, scenario.start_s))
+        assert omega[k0 - 1] == 0.0 and omega[k0] != 0.0
+        assert np.max(np.abs(omega - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_run_is_bitwise_independent_of_batch_width(self, plant, designs, chan, scenario):
         dp, dq = designs
