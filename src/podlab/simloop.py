@@ -84,13 +84,13 @@ def _controller_block(design: CompensatorDesign):
 
 @dataclass(frozen=True)
 class _LoopModel:
-    """The discretised plant-plus-controllers loop, acting on rows [z, u].
+    """The discretised plant-plus-controllers loop, acting on rows [u, z].
 
-    ``z`` is the combined state and ``u`` = (received p reference, received
-    q reference, disturbance pulse).  The next state is ``M [z, u]``; ``C``
-    maps a row to (omega_g, p controller output, q controller output), which
-    depend on ``z`` only.  ``W`` = [M; C M] gives the next state and its
-    outputs in one product.
+    ``u`` = (received p reference, received q reference, disturbance pulse)
+    and ``z`` is the combined state.  The next state is ``M [u, z]``; ``C``
+    maps a row to y = (omega_g, p controller output, q controller output),
+    which depend on ``z`` only.  ``W`` = [M; C M] gives the next state and
+    its outputs in one product.
     """
 
     M: np.ndarray
@@ -137,17 +137,17 @@ def _loop_model(
     Ad, Bd = zoh_discretize(A, B, dt)
 
     # outputs; the controllers emit y = Cc xc + Dc * (-omega_g)
-    C = np.zeros((3, N + 3))
-    C[0, :n] = plant.C[0]
-    C[1, n : n + np_c] = ctrl_p.C[0]
-    C[1, :n] = -float(ctrl_p.D[0, 0]) * plant.C[0]
-    C[2, n + np_c : N] = ctrl_q.C[0]
-    C[2, :n] = -float(ctrl_q.D[0, 0]) * plant.C[0]
-    M = np.hstack([Ad, Bd])
+    Cz = np.zeros((3, N))
+    Cz[0, :n] = plant.C[0]
+    Cz[1, n : n + np_c] = ctrl_p.C[0]
+    Cz[1, :n] = -float(ctrl_p.D[0, 0]) * plant.C[0]
+    Cz[2, n + np_c :] = ctrl_q.C[0]
+    Cz[2, :n] = -float(ctrl_q.D[0, 0]) * plant.C[0]
+    M = np.hstack([Bd, Ad])
     return _LoopModel(
         M=M,
-        C=C,
-        W=np.vstack([M, C[:, :N] @ M]),
+        C=np.hstack([np.zeros((3, 3)), Cz]),
+        W=np.vstack([M, Cz @ M]),
         n_plant=n,
         limits=np.array([design_p.limit_pu, design_q.limit_pu]),
         dist=dist,
@@ -211,12 +211,11 @@ def _lockstep(
     """Advance len(runs) closed loops together on ``t_grid``.
 
     ``runs[r]`` holds the (p, q) lists of run r's channel schedules, or is
-    None for a POD-off run.  The runs share one run-major state array X,
-    row r = [z, u] of run r.  A step is one product
-    ``einsum('kj,ij->ki', X, W)``, giving the next state and its outputs;
-    it reduces each row on its own in a fixed order, so a run's numbers do
-    not depend on the other rows: a run is bitwise the same alone or in any
-    block.
+    None for a POD-off run.  Row r of the state holds run r's [u, z, y]:
+    inputs, state and outputs.  A step is one product
+    ``einsum('kj,ij->ki', [u, z], W)``, giving the next [z, y]; it reduces
+    each row on its own in a fixed order, so a run's numbers do not depend
+    on the other rows: a run is bitwise the same alone or in any block.
 
     Per step: take the outputs of every row, process the channel events
     due (a send captures the limited, quantized controller output of its
@@ -246,23 +245,29 @@ def _lockstep(
     values = [0.0] * len(owner)
     held = [[[0.0] * len(s) for s in loops] if loops else None for loops in runs]
 
-    X = np.zeros((R, N + 3))
+    # two buffers of rows [u, z, y]: a step reads [u, z] of one and writes
+    # [z, y] of the other, so the inputs are written to both
+    buf = np.zeros((2, R, N + 6))
+    uz = [b[:, : N + 3] for b in buf]
+    zy = [b[:, 3:] for b in buf]
+    y = [b[:, N + 3 :] for b in buf]
     # the outputs of every step: all three when recording, else omega_g only
     w = 3 if record_io else 1
+    y_rec = [b[:, N + 3 : N + 3 + w] for b in buf]
     out = np.empty((n_steps, R, w))
     recv = np.zeros((n_steps, R, 2)) if record_io else None
     ptr = 0
     due = ev_step[0]
-    Y = np.einsum("kj,ij->ki", X, C, optimize=False)
+    cur = 0
     for k in range(n_steps):
         if k in kick:
-            X[:, : model.n_plant] += kick[k]
-            Y = np.einsum("kj,ij->ki", X, C, optimize=False)
+            uz[cur][:, 3 : 3 + model.n_plant] += kick[k]
+            np.einsum("kj,ij->ki", uz[cur], C, out=y[cur], optimize=False)
         if k in pulse:
-            X[:, N + 2] = pulse[k]
-        out[k] = Y[:, :w]
+            buf[:, :, 2] = pulse[k]
+        out[k] = y_rec[cur]
         if k == due:
-            Yl = Y.tolist()
+            Yl = y[cur].tolist()
             while due == k:
                 m = ev_msg[ptr]
                 if m >= 0:
@@ -273,14 +278,13 @@ def _lockstep(
                     r, loop, unit = owner[~m]
                     h = held[r][loop]
                     h[unit] = values[~m]
-                    X[r, N + loop] = math.fsum(h) / len(h)
+                    buf[:, r, loop] = math.fsum(h) / len(h)
                 ptr += 1
                 due = ev_step[ptr]
         if record_io:
-            recv[k] = X[:, N : N + 2]
-        P = np.einsum("kj,ij->ki", X, W, optimize=False)
-        X[:, :N] = P[:, :N]
-        Y = P[:, N:]
+            recv[k] = buf[cur, :, :2]
+        np.einsum("kj,ij->ki", uz[cur], W, out=zy[1 - cur], optimize=False)
+        cur = 1 - cur
     omega = out[:, :, 0]
     sent = np.clip(out[:, :, 1:], -model.limits, model.limits) if record_io else None
     return omega, sent, recv

@@ -42,8 +42,8 @@ def _reference_run(model, chan, seed, duration_s, dt=1e-3):
     """The closed loop of ``model`` stepped one grid instant at a time
     through ChannelInstance.step: an independent oracle for the lockstep
     kernel."""
-    N = model.M.shape[0]
-    Ad, Bd, C = model.M[:, :N], model.M[:, N:], model.C[:, :N]
+    Bd, Ad, C = model.M[:, :3], model.M[:, 3:], model.C[:, 3:]
+    N = Ad.shape[0]
     dist = model.dist
     p_lim, q_lim = model.limits
     part = Participation()
@@ -114,7 +114,7 @@ class TestLockstepKernel:
         # kick the read ones, so the outputs move at the kick step itself
         dp, dq = designs
         model = simloop._loop_model(plant, dp, dq, scenario, 1e-3)
-        delta = 0.05 * model.C[0, : model.n_plant]
+        delta = 0.05 * model.C[0, 3 : 3 + model.n_plant]
         model = dataclasses.replace(model, dist=dataclasses.replace(model.dist, state_delta=delta))
         t_grid = np.arange(4000) * 1e-3
         schedules = simloop._schedules(simloop._channels(chan, 4.0, 3, Participation()), t_grid)
