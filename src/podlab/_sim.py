@@ -1,7 +1,7 @@
 """Fast zero-order-hold LTI stepping shared by the sysid and simloop drivers.
 
-Uses the exact matrix-exponential discretization, so results are independent
-of the continuous integrator used elsewhere.
+Uses the exact matrix-exponential discretization; this is podlab's only
+time-domain integrator.
 """
 from __future__ import annotations
 
@@ -9,6 +9,10 @@ import numpy as np
 import scipy.linalg
 
 from .lti import StateSpace
+
+# steps per lifted block: the state recursion runs once per block, so a
+# K-step simulation takes K/_BLOCK Python iterations
+_BLOCK = 64
 
 
 def zoh_discretize(A: np.ndarray, B: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -24,15 +28,41 @@ def zoh_discretize(A: np.ndarray, B: np.ndarray, dt: float) -> tuple[np.ndarray,
 def zoh_lsim(
     ss: StateSpace, u: np.ndarray, dt: float, x0: np.ndarray | None = None
 ) -> np.ndarray:
-    """Simulate a SISO/MISO system with ZOH input; returns the output trace."""
+    """Simulate a SISO/MISO system with ZOH input; returns the output trace.
+
+    The recursion x[k+1] = Ad x[k] + Bd u[k], y[k] = C x[k] + D u[k] is
+    lifted to blocks of L = _BLOCK steps.  With U_b the L inputs of block b,
+    x_{b+1} = Ad^L x_b + Gamma U_b, Gamma = [Ad^(L-1) Bd ... Ad Bd  Bd], and
+    the L outputs of block b are O x_b + T U_b, with O = [C; C Ad; ...] and
+    T the lower-triangular block Toeplitz matrix of the Markov parameters
+    D, C Bd, C Ad Bd, ...
+    """
     u2 = np.atleast_2d(np.asarray(u, dtype=float))
     if u2.shape[0] == 1 and ss.B.shape[1] == 1:
         u2 = u2.T
     Ad, Bd = zoh_discretize(ss.A, ss.B, dt)
-    x = np.zeros(ss.order) if x0 is None else np.asarray(x0, dtype=float).copy()
-    y = np.empty((u2.shape[0], ss.C.shape[0]))
     C, D = ss.C, ss.D
-    for k in range(u2.shape[0]):
-        y[k] = C @ x + D @ u2[k]
-        x = Ad @ x + Bd @ u2[k]
-    return y[:, 0] if y.shape[1] == 1 else y
+    (K, m), n, p, L = u2.shape, ss.order, C.shape[0], _BLOCK
+    powers = [np.eye(n)]  # Ad^0 ... Ad^L
+    for _ in range(L):
+        powers.append(Ad @ powers[-1])
+    obs = np.stack([C @ P for P in powers[:L]])  # (L, p, n)
+    markov = np.concatenate([D[None], obs[:-1] @ Bd])  # (L, p, m)
+    lag = np.subtract.outer(np.arange(L), np.arange(L))  # i - j
+    T = np.where((lag >= 0)[:, :, None, None], markov[np.maximum(lag, 0)], 0.0)
+    T = T.transpose(0, 2, 1, 3).reshape(L * p, L * m)
+    Gamma = np.stack([P @ Bd for P in powers[L - 1 :: -1]], axis=1).reshape(n, L * m)
+    Phi = powers[L]
+
+    n_blocks = -(-K // L)
+    U = np.zeros((n_blocks * L, m))
+    U[:K] = u2
+    U = U.reshape(n_blocks, L * m)
+    drive = U @ Gamma.T
+    X = np.empty((n_blocks, n))
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    for b in range(n_blocks):
+        X[b] = x
+        x = Phi @ x + drive[b]
+    y = (X @ obs.reshape(L * p, n).T + U @ T.T).reshape(n_blocks * L, p)[:K]
+    return y[:, 0] if p == 1 else y

@@ -12,8 +12,8 @@ from .lti import (
     ModeReport,
     StateSpace,
     TransferFunction,
+    _response,
     eigen,
-    freq_response,
     mode_report,
     series,
     to_state_space,
@@ -250,8 +250,8 @@ def bode_table(tf: TransferFunction, band_hz: tuple[float, float], n_points: int
         raise AnalysisError("band must satisfy 0 < low < high")
     freqs = np.geomspace(lo, hi, n_points)
     freqs[0], freqs[-1] = lo, hi
-    pts = freq_response(tf, freqs)
-    mags = np.array([20.0 * math.log10(abs(p.value)) if p.value != 0 else -math.inf for p in pts])
+    with np.errstate(divide="ignore"):
+        mags = 20.0 * np.log10(np.abs(_response(tf, freqs)))
     phases = unwrapped_phase_deg(tf, freqs)
     rows = ["freq_hz,mag_db,phase_deg"]
     for f, m, ph in zip(freqs, mags, phases):

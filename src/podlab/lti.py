@@ -1,8 +1,8 @@
 """Foundation types and numerics for linear time-invariant systems.
 
 Rational transfer functions (ascending-power coefficient lists), state-space
-models, frequency response with continuous phase, eigenvalues and fixed-step
-RK4 time-domain integration.
+models, frequency response with continuous phase and eigenvalues.  Time-domain
+simulation is the exact zero-order-hold stepping in ``_sim``.
 """
 from __future__ import annotations
 
@@ -24,14 +24,10 @@ __all__ = [
     "series",
     "to_state_space",
     "eigen",
-    "simulate",
     "unwrapped_phase_deg",
     "phase_at",
     "mode_report",
-    "frf_csv_rows",
 ]
-
-_TRIM_TOL = 0.0  # coefficients are trimmed only when exactly zero
 
 
 def _canonical(coeffs: Iterable[float]) -> tuple[float, ...]:
@@ -160,18 +156,32 @@ def mode_report(eigenvalue: complex) -> ModeReport:
     return ModeReport(eigenvalue=lam, freq_hz=freq, damping_ratio=zeta)
 
 
+def _response(tf: TransferFunction, freqs_hz) -> np.ndarray:
+    """tf(j 2 pi f) on an array of frequencies: Horner over the coefficients,
+    vectorised over the frequencies."""
+    f = np.asarray(freqs_hz, dtype=float)
+    bad = ~(f > 0)
+    if bad.any():
+        raise LtiError(f"frequency must be positive, got {f[bad][0]}")
+    s = 2j * math.pi * f
+    num, den = np.zeros_like(s), np.zeros_like(s)
+    for c in reversed(tf.num):
+        num = num * s + c
+    for c in reversed(tf.den):
+        den = den * s + c
+    on_axis = den == 0
+    if on_axis.any():
+        raise LtiError(f"pole on the imaginary axis at {f[on_axis][0]} Hz")
+    return num / den
+
+
 def freq_response(tf: TransferFunction, freqs_hz: Sequence[float]) -> list[FrequencyResponsePoint]:
     """Evaluate tf(j 2 pi f) at each frequency."""
-    points = []
-    for f in freqs_hz:
-        if not f > 0:
-            raise LtiError(f"frequency must be positive, got {f}")
-        s = 2j * math.pi * f
-        den_val = _polyval(tf.den, s)
-        if den_val == 0:
-            raise LtiError(f"pole on the imaginary axis at {f} Hz")
-        points.append(FrequencyResponsePoint(freq_hz=f, value=_polyval(tf.num, s) / den_val))
-    return points
+    f = np.asarray(freqs_hz, dtype=float)
+    return [
+        FrequencyResponsePoint(freq_hz=fi, value=v)
+        for fi, v in zip(f.tolist(), _response(tf, f).tolist())
+    ]
 
 
 def series(a: TransferFunction, b: TransferFunction) -> TransferFunction:
@@ -215,54 +225,6 @@ def eigen(A: np.ndarray) -> np.ndarray:
     return scipy.linalg.eigvals(A)
 
 
-def _highest_freq_hz(A: np.ndarray) -> float:
-    if A.shape[0] == 0:
-        return 0.0
-    lam = eigen(A)
-    return float(np.max(np.abs(lam.imag))) / (2.0 * math.pi)
-
-
-def simulate(
-    ss: StateSpace,
-    inputs: np.ndarray,
-    dt: float,
-    x0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Fixed-step RK4 integration with zero-order-hold input.
-
-    ``inputs`` is (n_samples,) for single-input systems or (n_samples, m).
-    Returns the output trace with matching leading dimension.
-    """
-    if not dt > 0:
-        raise LtiError("dt must be positive")
-    f_high = _highest_freq_hz(ss.A)
-    if f_high > 0 and dt > 1.0 / (20.0 * f_high):
-        raise LtiError(
-            f"dt={dt:g} too large for accuracy: require dt <= {1.0 / (20.0 * f_high):.6g} s"
-        )
-    u = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if u.shape[0] == 1 and ss.B.shape[1] == 1:
-        u = u.T
-    n_steps = u.shape[0]
-    if u.shape[1] != ss.B.shape[1]:
-        raise LtiError(f"input has {u.shape[1]} channels, expected {ss.B.shape[1]}")
-    x = np.zeros(ss.order) if x0 is None else np.asarray(x0, dtype=float).copy()
-    A, B, C, D = ss.A, ss.B, ss.C, ss.D
-    y = np.empty((n_steps, C.shape[0]))
-    for k in range(n_steps):
-        uk = u[k]
-        y[k] = C @ x + D @ uk
-        bu = B @ uk
-        k1 = A @ x + bu
-        k2 = A @ (x + 0.5 * dt * k1) + bu
-        k3 = A @ (x + 0.5 * dt * k2) + bu
-        k4 = A @ (x + dt * k3) + bu
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if y.shape[1] == 1:
-        return y[:, 0]
-    return y
-
-
 def unwrapped_phase_deg(tf: TransferFunction, freqs_hz: np.ndarray) -> np.ndarray:
     """Phase of tf along an ascending grid, continued by nearest-multiple-of-360.
 
@@ -275,8 +237,7 @@ def unwrapped_phase_deg(tf: TransferFunction, freqs_hz: np.ndarray) -> np.ndarra
     # dense enough that a lightly damped resonance cannot alias the unwrap
     anchor = np.geomspace(f_lo / 100.0, f_lo, 600, endpoint=False)
     grid = np.concatenate([anchor, freqs_hz])
-    vals = np.array([p.value for p in freq_response(tf, grid)])
-    ph = np.unwrap(np.angle(vals))
+    ph = np.unwrap(np.angle(_response(tf, grid)))
     return np.degrees(ph[len(anchor):])
 
 
@@ -286,12 +247,3 @@ def phase_at(tf: TransferFunction, omega: float) -> float:
         raise LtiError("omega must be positive")
     f = omega / (2.0 * math.pi)
     return float(unwrapped_phase_deg(tf, np.array([f]))[0])
-
-
-def frf_csv_rows(points: Sequence[FrequencyResponsePoint]) -> list[str]:
-    """FRF table rows: header plus one line per point, phase unwrapped."""
-    phases = np.degrees(np.unwrap(np.angle([p.value for p in points])))
-    rows = ["freq_hz,mag_db,phase_deg"]
-    for p, ph in zip(points, phases):
-        rows.append(f"{p.freq_hz:.9g},{p.mag_db:.9g},{ph:.9g}")
-    return rows

@@ -12,12 +12,11 @@ from podlab.lti import (
     TransferFunction,
     eigen,
     freq_response,
-    frf_csv_rows,
     mode_report,
     phase_at,
     series,
-    simulate,
     to_state_space,
+    unwrapped_phase_deg,
 )
 
 
@@ -73,6 +72,29 @@ class TestFreqResponse:
         tf = TransferFunction([1.0], [4.0 * math.pi**2, 0.0, 1.0])
         with pytest.raises(LtiError, match="1"):
             freq_response(tf, [1.0])
+
+    @pytest.mark.parametrize("order", range(1, 12))
+    def test_array_evaluation_matches_scalar_call(self, order):
+        rng = np.random.default_rng(order)
+        freqs = np.geomspace(1e-3, 1e2, 400)
+        for _ in range(10):
+            num = rng.normal(size=rng.integers(1, order + 2))
+            tf = TransferFunction(num, rng.normal(size=order + 1))
+            for p in freq_response(tf, freqs):
+                expect = tf(2j * math.pi * p.freq_hz)
+                assert abs(p.value - expect) <= 1e-15 * abs(expect)
+
+    @pytest.mark.parametrize(
+        "evaluate", [freq_response, unwrapped_phase_deg], ids=["freq_response", "phase"]
+    )
+    def test_rejections_keep_their_messages(self, evaluate):
+        tf = TransferFunction([1.0], [4.0 * math.pi**2, 0.0, 1.0])
+        with pytest.raises(LtiError, match=r"^frequency must be positive, got -2\.0$"):
+            evaluate(tf, [3.0, -2.0, 0.0])
+        with pytest.raises(LtiError, match=r"^frequency must be positive, got 0\.0$"):
+            evaluate(tf, [2.0, 0.0])
+        with pytest.raises(LtiError, match=r"^pole on the imaginary axis at 1\.0 Hz$"):
+            evaluate(tf, [0.5, 1.0, 2.0])
 
 
 class TestSeries:
@@ -170,45 +192,6 @@ class TestEigen:
             eigen(np.zeros((2, 3)))
 
 
-class TestSimulate:
-    def test_zero_input_zero_state(self):
-        ss = to_state_space(TransferFunction([1.0], [1.0, 1.0]))
-        y = simulate(ss, np.zeros(100), 1e-3)
-        assert np.all(y == 0.0)
-
-    def test_first_order_step(self):
-        ss = to_state_space(TransferFunction([1.0], [1.0, 1.0]))
-        y = simulate(ss, np.ones(1001), 1e-3)
-        assert y[1000] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-4)
-
-    def test_undamped_oscillator_amplitude(self):
-        w = 2.0 * math.pi  # 1 Hz
-        ss = StateSpace([[0.0, 1.0], [-w**2, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
-        dt = 1.0 / 200.0  # T/200
-        n = int(round(10.0 / dt))  # 10 periods
-        y = simulate(ss, np.zeros(n), dt, x0=[1.0, 0.0])
-        last_period = y[-200:]
-        assert abs(np.max(np.abs(last_period)) - 1.0) < 1e-3
-
-    def test_dt_guard(self):
-        w = 2.0 * math.pi * 10.0
-        ss = StateSpace([[0.0, 1.0], [-w**2, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
-        with pytest.raises(LtiError, match="dt"):
-            simulate(ss, np.zeros(10), 0.1)
-
-    def test_rk4_convergence_order(self):
-        ss = to_state_space(TransferFunction([1.0], [1.0, 1.0]))
-
-        def err(dt):
-            n = int(round(1.0 / dt)) + 1
-            y = simulate(ss, np.ones(n), dt)
-            t = np.arange(n) * dt
-            return np.max(np.abs(y - (1.0 - np.exp(-t))))
-
-        ratio = err(0.02) / err(0.01)
-        assert 10.0 < ratio < 22.0  # ~16x for 4th-order convergence
-
-
 class TestModeReport:
     def test_fields_from_eigenvalue(self):
         lam = complex(-0.057, 2.827)
@@ -241,10 +224,3 @@ class TestPhase:
         w = 2.0 * math.pi * 1.2
         assert phase_at(tf, w) == pytest.approx(-360.0 * 1.2 * 0.6, abs=1.0)
 
-
-def test_frf_csv_rows_format():
-    tf = TransferFunction.constant(1.0)
-    rows = frf_csv_rows(freq_response(tf, [0.1, 1.0]))
-    assert rows[0] == "freq_hz,mag_db,phase_deg"
-    assert rows[1].split(",") == ["0.1", "0", "0"]
-    assert len(rows) == 3
