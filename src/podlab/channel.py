@@ -221,21 +221,24 @@ def sample_delays(dist: DelayDistribution, rng: np.random.Generator, n: int) -> 
 def _emission_times(cfg: ChannelConfig, duration_s: float, rng: np.random.Generator) -> np.ndarray:
     """Message send instants over [0, duration].
 
-    Intervals are drawn in blocks of ceil(duration * rate) + 4.  A Poisson
-    stream draws further blocks until it passes the duration, so its
-    schedule is not cut short; a schedule that the first block covers does
-    not depend on the later ones.
+    Intervals are drawn in blocks of ceil(duration * rate) + 4, and further
+    blocks are drawn until the schedule passes the duration, so it is not
+    cut short; a schedule that the first block covers does not depend on the
+    later ones.
     """
     n = int(math.ceil(duration_s * cfg.rate_hz)) + 4
     period = 1.0 / cfg.rate_hz
-    if cfg.emission == "jittered-periodic":
-        t = np.cumsum(period * (1.0 + rng.uniform(-0.2, 0.2, size=n)))
-    else:
-        intervals = rng.exponential(period, size=n)
+
+    def block() -> np.ndarray:
+        if cfg.emission == "jittered-periodic":
+            return period * (1.0 + rng.uniform(-0.2, 0.2, size=n))
+        return rng.exponential(period, size=n)
+
+    intervals = block()
+    t = np.cumsum(intervals)
+    while t[-1] <= duration_s:
+        intervals = np.concatenate([intervals, block()])
         t = np.cumsum(intervals)
-        while t[-1] <= duration_s:
-            intervals = np.concatenate([intervals, rng.exponential(period, size=n)])
-            t = np.cumsum(intervals)
     return t[t <= duration_s]
 
 

@@ -149,6 +149,20 @@ class TestEmissionSchedule:
         assert np.mean(tails >= 1.0) < 0.06
         assert tails.max() < 4.0
 
+    def test_jittered_schedule_runs_to_the_end(self):
+        # over 600 s the first block's sum wanders by about 1.5 s, more than
+        # its 4-period margin; the silent tail of a jittered stream is at
+        # most one interval, 1.2 periods
+        cfg = ChannelConfig(
+            delay=DelayDistribution.uniform(0.1, 0.5), rate_hz=self.RATE, emission="jittered-periodic"
+        )
+        duration = 600.0
+        tails = [
+            duration - ChannelInstance(cfg, duration, rng=np.random.default_rng(s)).t_send[-1]
+            for s in range(500)
+        ]
+        assert max(tails) <= 1.2 / self.RATE
+
     @pytest.mark.parametrize("emission", ["jittered-periodic", "poisson"])
     def test_first_block_decides_the_schedules_it_covers(self, emission):
         n = math.ceil(self.DURATION * self.RATE) + 4
