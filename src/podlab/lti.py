@@ -79,7 +79,8 @@ class TransferFunction:
         return _polyval(self.num, s) / _polyval(self.den, s)
 
 
-def _polyval(coeffs: Sequence[float], s: complex) -> complex:
+def _polyval(coeffs: Sequence[float], s: complex | np.ndarray) -> complex | np.ndarray:
+    """Horner's rule at a complex point or elementwise over an array of them."""
     acc = 0.0 + 0.0j
     for c in reversed(coeffs):
         acc = acc * s + c
@@ -156,7 +157,7 @@ def mode_report(eigenvalue: complex) -> ModeReport:
     return ModeReport(eigenvalue=lam, freq_hz=freq, damping_ratio=zeta)
 
 
-def _response(tf: TransferFunction, freqs_hz) -> np.ndarray:
+def _response(tf: TransferFunction, freqs_hz: Sequence[float] | np.ndarray) -> np.ndarray:
     """tf(j 2 pi f) on an array of frequencies: Horner over the coefficients,
     vectorised over the frequencies."""
     f = np.asarray(freqs_hz, dtype=float)
@@ -164,15 +165,11 @@ def _response(tf: TransferFunction, freqs_hz) -> np.ndarray:
     if bad.any():
         raise LtiError(f"frequency must be positive, got {f[bad][0]}")
     s = 2j * math.pi * f
-    num, den = np.zeros_like(s), np.zeros_like(s)
-    for c in reversed(tf.num):
-        num = num * s + c
-    for c in reversed(tf.den):
-        den = den * s + c
+    den = _polyval(tf.den, s)
     on_axis = den == 0
     if on_axis.any():
         raise LtiError(f"pole on the imaginary axis at {f[on_axis][0]} Hz")
-    return num / den
+    return _polyval(tf.num, s) / den
 
 
 def freq_response(tf: TransferFunction, freqs_hz: Sequence[float]) -> list[FrequencyResponsePoint]:
