@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from podlab._sim import zoh_lsim
 from podlab.delaymodel import pade_approx
 from podlab.errors import LtiError
 from podlab.lti import (
@@ -190,6 +191,30 @@ class TestEigen:
     def test_non_square_rejected(self):
         with pytest.raises(LtiError, match="square"):
             eigen(np.zeros((2, 3)))
+
+
+class TestSimulate:
+    """Simulation runs on the one integrator, the exact ZOH recursion."""
+
+    def test_zero_input_zero_state(self):
+        ss = to_state_space(TransferFunction([1.0], [1.0, 1.0]))
+        y = zoh_lsim(ss, np.zeros(100), 1e-3)
+        assert np.all(y == 0.0)
+
+    def test_first_order_step(self):
+        # ZOH is exact for a step input
+        ss = to_state_space(TransferFunction([1.0], [1.0, 1.0]))
+        y = zoh_lsim(ss, np.ones(1001), 1e-3)
+        assert y[1000] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+
+    def test_undamped_oscillator_amplitude(self):
+        w = 2.0 * math.pi  # 1 Hz
+        ss = StateSpace([[0.0, 1.0], [-w**2, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        dt = 1.0 / 200.0  # T/200
+        n = int(round(10.0 / dt))  # 10 periods
+        y = zoh_lsim(ss, np.zeros(n), dt, x0=[1.0, 0.0])
+        last_period = y[-200:]
+        assert abs(np.max(np.abs(last_period)) - 1.0) < 1e-3
 
 
 class TestModeReport:

@@ -55,26 +55,6 @@ def _random_miso(rng, n=6, m=3, p=2):
 
 
 class TestZohLsim:
-    def test_zero_input_zero_state(self):
-        ss = to_state_space(TransferFunction([1.0], [1.0, 1.0]))
-        y = zoh_lsim(ss, np.zeros(100), 1e-3)
-        assert np.all(y == 0.0)
-
-    def test_first_order_step(self):
-        # ZOH is exact for a step input
-        ss = to_state_space(TransferFunction([1.0], [1.0, 1.0]))
-        y = zoh_lsim(ss, np.ones(1001), 1e-3)
-        assert y[1000] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
-
-    def test_undamped_oscillator_amplitude(self):
-        w = 2.0 * math.pi  # 1 Hz
-        ss = StateSpace([[0.0, 1.0], [-w**2, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
-        dt = 1.0 / 200.0  # T/200
-        n = int(round(10.0 / dt))  # 10 periods
-        y = zoh_lsim(ss, np.zeros(n), dt, x0=[1.0, 0.0])
-        last_period = y[-200:]
-        assert abs(np.max(np.abs(last_period)) - 1.0) < 1e-3
-
     @pytest.mark.parametrize("loop", ["active", "reactive"])
     def test_reference_plant_prbs_matches_per_step(self, cfg, plant, loop):
         fs = cfg["identification"]["sample_rate_hz"]
