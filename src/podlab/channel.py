@@ -179,9 +179,7 @@ class DelayLog:
         return np.array([r for _, r in self.records])
 
     def csv_rows(self) -> list[str]:
-        rows = ["t_sent_s,t_received_s"]
-        rows.extend(f"{s:.9g},{r:.9g}" for s, r in self.records)
-        return rows
+        return ["t_sent_s,t_received_s"] + ["%.9g,%.9g" % r for r in self.records]
 
 
 def sample_delay(dist: DelayDistribution, rng: np.random.Generator) -> float:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, channel as chan, pipeline, poddesign, simloop, sysid
+from ._csvfmt import format_rows
 from .config import (
     channel_config,
     config_hash,
@@ -92,6 +93,13 @@ class _Ctx:
         return json.loads(path.read_text())
 
 
+def _read_csv(path: Path, stage: str) -> np.ndarray:
+    """The numeric rows of a CSV artifact, below its manifest and header."""
+    if not path.exists():
+        raise ConfigError(f"required artifact {path} not found; run '{stage}' first")
+    return np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+
+
 def _identified_from_dict(d: dict) -> IdentifiedPlant:
     from .lti import mode_report
 
@@ -148,13 +156,8 @@ def cmd_channel_measure(ctx: _Ctx) -> None:
 
 
 def cmd_channel_fit(ctx: _Ctx) -> None:
-    path = ctx.out / "delay_log.csv"
-    if not path.exists():
-        raise ConfigError(f"required artifact {path} not found; run 'channel measure' first")
-    rows = [r for r in path.read_text().splitlines() if r and not r.startswith("#")]
-    delays = np.array(
-        [float(r.split(",")[1]) - float(r.split(",")[0]) for r in rows[1:]]
-    )
+    log = _read_csv(ctx.out / "delay_log.csv", "channel measure")
+    delays = log[:, 1] - log[:, 0]
     edges = np.linspace(delays.min(), delays.max() * (1 + 1e-9), 21)
     counts, _ = np.histogram(delays, bins=edges)
     probs = counts / counts.sum()
@@ -179,19 +182,14 @@ def cmd_sysid_prbs(ctx: _Ctx) -> None:
     plant = build_reference_plant(plant_config(ctx.cfg))
     for loop, tag in (("active", "p"), ("reactive", "q")):
         u, y, fs = pipeline.run_prbs_experiment(ctx.cfg, plant, loop)
-        rows = ["t_s,u_pu,y_pu"]
-        rows.extend(f"{k / fs:.9g},{u[k]:.9g},{y[k]:.9g}" for k in range(len(u)))
+        rows = format_rows("t_s,u_pu,y_pu", np.arange(len(u)) / fs, u, y)
         ctx.write_csv(f"experiment_{tag}.csv", rows)
 
 
 def cmd_sysid_fit(ctx: _Ctx) -> None:
     fs = ctx.cfg["identification"]["sample_rate_hz"]
     for tag in ("p", "q"):
-        path = ctx.out / f"experiment_{tag}.csv"
-        if not path.exists():
-            raise ConfigError(f"required artifact {path} not found; run 'sysid prbs' first")
-        rows = [r for r in path.read_text().splitlines() if r and not r.startswith("#")]
-        data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+        data = _read_csv(ctx.out / f"experiment_{tag}.csv", "sysid prbs")
         ident = pipeline.identify_path(ctx.cfg, data[:, 1], data[:, 2], fs)
         ctx.write_json(f"identified_{tag}.json", ident.to_dict())
 

@@ -229,7 +229,12 @@ def unwrapped_phase_deg(tf: TransferFunction, freqs_hz: np.ndarray) -> np.ndarra
     accumulated phase, not the principal value.
     """
     freqs_hz = np.asarray(freqs_hz, dtype=float)
+    if freqs_hz.size == 0:
+        raise LtiError("no frequencies to evaluate")
     f_lo = freqs_hz[0]
+    if not f_lo > 0:
+        # the anchor grid below needs f_lo > 0; _response checks the rest
+        raise LtiError(f"frequency must be positive, got {f_lo}")
     # extend the grid down two decades to anchor the unwrap at quasi-DC;
     # dense enough that a lightly damped resonance cannot alias the unwrap
     anchor = np.geomspace(f_lo / 100.0, f_lo, 600, endpoint=False)

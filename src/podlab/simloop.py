@@ -6,11 +6,12 @@ unit; single-transient traces and seeded 50-transient ensembles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._sim import zoh_discretize
+from ._csvfmt import format_rows
+from ._sim import _BLOCK, zoh_discretize
 from .channel import ChannelConfig, ChannelInstance, ChannelSchedule, quantize
 from .errors import SimulationError
 from .lti import to_state_space
@@ -49,14 +50,10 @@ class SimTrace:
     q_applied_times: tuple[tuple[float, ...], ...] = ()
 
     def csv_rows(self) -> list[str]:
-        rows = ["t_s,omega_g_pu,pD_sent,pD_recv,qD_sent,qD_recv"]
-        for i in range(len(self.t_s)):
-            rows.append(
-                f"{self.t_s[i]:.9g},{self.omega_g_pu[i]:.9g},"
-                f"{self.p_D_sent[i]:.9g},{self.p_D_recv[i]:.9g},"
-                f"{self.q_D_sent[i]:.9g},{self.q_D_recv[i]:.9g}"
-            )
-        return rows
+        return format_rows(
+            "t_s,omega_g_pu,pD_sent,pD_recv,qD_sent,qD_recv",
+            self.t_s, self.omega_g_pu, self.p_D_sent, self.p_D_recv, self.q_D_sent, self.q_D_recv,
+        )
 
 
 @dataclass(frozen=True)
@@ -89,13 +86,11 @@ class _LoopModel:
     ``u`` = (received p reference, received q reference, disturbance pulse)
     and ``z`` is the combined state.  The next state is ``M [u, z]``; ``C``
     maps a row to y = (omega_g, p controller output, q controller output),
-    which depend on ``z`` only.  ``W`` = [M; C M] gives the next state and
-    its outputs in one product.
+    which depend on ``z`` only.
     """
 
     M: np.ndarray
     C: np.ndarray
-    W: np.ndarray
     n_plant: int
     limits: np.ndarray
     dist: AppliedDisturbance
@@ -143,11 +138,9 @@ def _loop_model(
     Cz[1, :n] = -float(ctrl_p.D[0, 0]) * plant.C[0]
     Cz[2, n + np_c :] = ctrl_q.C[0]
     Cz[2, :n] = -float(ctrl_q.D[0, 0]) * plant.C[0]
-    M = np.hstack([Bd, Ad])
     return _LoopModel(
-        M=M,
+        M=np.hstack([Bd, Ad]),
         C=np.hstack([np.zeros((3, 3)), Cz]),
-        W=np.vstack([M, Cz @ M]),
         n_plant=n,
         limits=np.array([design_p.limit_pu, design_q.limit_pu]),
         dist=dist,
@@ -176,9 +169,9 @@ def _schedules(channels, t_grid: np.ndarray) -> tuple[list[ChannelSchedule], ...
 
 
 def _events(runs) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
-    """Every channel event of a block, sorted by grid step.
+    """Every channel event of a batch of runs, sorted by grid step.
 
-    The block's sent messages are numbered in one flat sequence, and
+    The batch's sent messages are numbered in one flat sequence, and
     ``owner[m]`` is the (row, loop, unit) that sends message m.  An event is
     its step and a signed message number: m for the send of m and ~m for
     its application.  Within a step the sends come first; the applies of one
@@ -201,6 +194,30 @@ def _events(runs) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
     return step[order].tolist(), msg[order].tolist(), owner
 
 
+def _lifted(model: _LoopModel, lengths) -> tuple[dict[int, np.ndarray], list[np.ndarray]]:
+    """The loop lifted over up to ``_BLOCK`` steps of held input.
+
+    ``E[m]`` = [S_m, Ad^m], with S_m = sum of Ad^i Bd over i < m, maps a row
+    [u, z] to the state m steps on while u is held, and C E[j] gives its
+    outputs at step j.  The product of a row with
+    V_m = [C E[0]; ...; C E[m - 1]; E[m]] is the row's m outputs followed by
+    its end state.  Returns V_m for each block length in ``lengths``, and
+    ``step[m][l]``, column l of V_m (l < 2): the response of those outputs
+    and that end state to a unit step on received reference l.
+    """
+    N = model.M.shape[0]
+    Bd, Ad = model.M[:, :3], model.M[:, 3:]
+    E = np.zeros((_BLOCK + 1, N, N + 3))
+    E[0, :, 3:] = np.eye(N)
+    for m in range(_BLOCK):
+        np.matmul(Ad, E[m], out=E[m + 1])
+        E[m + 1, :, :3] += Bd
+    O = (model.C[:, 3:] @ E[:-1]).reshape(3 * _BLOCK, N + 3)
+    V = {m: np.concatenate([O[: 3 * m], E[m]]) for m in lengths}
+    step = [np.concatenate([O[: 3 * m, :2], E[m, :, :2]]).T.copy() for m in range(_BLOCK + 1)]
+    return V, step
+
+
 def _lockstep(
     model: _LoopModel,
     t_grid: np.ndarray,
@@ -211,23 +228,27 @@ def _lockstep(
     """Advance len(runs) closed loops together on ``t_grid``.
 
     ``runs[r]`` holds the (p, q) lists of run r's channel schedules, or is
-    None for a POD-off run.  Row r of the state holds run r's [u, z, y]:
-    inputs, state and outputs.  A step is one product
-    ``einsum('kj,ij->ki', [u, z], W)``, giving the next [z, y]; it reduces
-    each row on its own in a fixed order, so a run's numbers do not depend
-    on the other rows: a run is bitwise the same alone or in any block.
+    None for a POD-off run.  Row r of X holds run r's [u, z]: inputs and
+    state.  The grid is cut into blocks of ``_BLOCK`` steps, and also at the
+    kick and at the pulse edges, so the disturbance input is constant within
+    a block.  A block of L steps is one product
+    ``einsum('kj,ij->ki', X, V_L)`` (see ``_lifted``), giving every row's L
+    outputs and end state for inputs held at their values at the block
+    start.  The block's channel events then run in step order: a send
+    captures the limited, quantized controller output of its run at its
+    step; an apply updates the unit's held value and that run's received
+    mean, and adds the change times the step response from that step on to
+    the run's remaining outputs and end state.  Every operation acts on one
+    row in a fixed order, so a run's numbers do not depend on the other
+    rows: a run is bitwise the same alone or in any batch.
 
-    Per step: take the outputs of every row, process the channel events
-    due (a send captures the limited, quantized controller output of its
-    run; an apply updates the unit's held value and that run's received
-    mean), then propagate.  Returns omega_g as (steps, runs) and, with
-    ``record_io``, the limited and the received (p, q) references as
-    (steps, runs, 2).
+    Returns omega_g as (steps, runs) and, with ``record_io``, the limited
+    and the received (p, q) references as (steps, runs, 2).
     """
     n_steps = len(t_grid)
     R = len(runs)
     N = model.M.shape[0]
-    C, W, dist = model.C, model.W, model.dist
+    dist = model.dist
     lim = model.limits.tolist()
 
     # disturbance: a state kick added at the first step at or after the
@@ -239,55 +260,61 @@ def _lockstep(
         t_on, t_off = dist.start_s, dist.start_s + dist.duration_s
         pulse = {int(np.searchsorted(t_grid, t_on, side="left")): dist.magnitude}
         pulse[int(np.searchsorted(t_grid, t_off, side="left"))] = 0.0
+    cuts = sorted({k for k in (*range(0, n_steps, _BLOCK), *kick, *pulse) if k < n_steps})
+    cuts.append(n_steps)
+
+    V, step = _lifted(model, set(np.diff(cuts).tolist()))
 
     ev_step, ev_msg, owner = _events(runs)
     ev_step.append(n_steps)  # sentinel
     values = [0.0] * len(owner)
     held = [[[0.0] * len(s) for s in loops] if loops else None for loops in runs]
+    mean = [[0.0, 0.0] for _ in runs]
 
-    # two buffers of rows [u, z, y]: a step reads [u, z] of one and writes
-    # [z, y] of the other, so the inputs are written to both
-    buf = np.zeros((2, R, N + 6))
-    uz = [b[:, : N + 3] for b in buf]
-    zy = [b[:, 3:] for b in buf]
-    y = [b[:, N + 3 :] for b in buf]
+    X = np.zeros((R, N + 3))
     # the outputs of every step: all three when recording, else omega_g only
     w = 3 if record_io else 1
-    y_rec = [b[:, N + 3 : N + 3 + w] for b in buf]
     out = np.empty((n_steps, R, w))
     recv = np.zeros((n_steps, R, 2)) if record_io else None
     ptr = 0
     due = ev_step[0]
-    cur = 0
-    for k in range(n_steps):
-        if k in kick:
-            uz[cur][:, 3 : 3 + model.n_plant] += kick[k]
-            np.einsum("kj,ij->ki", uz[cur], C, out=y[cur], optimize=False)
-        if k in pulse:
-            buf[:, :, 2] = pulse[k]
-        out[k] = y_rec[cur]
-        if k == due:
-            Yl = y[cur].tolist()
-            while due == k:
-                m = ev_msg[ptr]
-                if m >= 0:
-                    r, loop, _ = owner[m]
-                    sent = min(max(Yl[r][1 + loop], -lim[loop]), lim[loop])
-                    values[m] = quantize(sent, quantization_step)
-                else:
-                    r, loop, unit = owner[~m]
-                    h = held[r][loop]
-                    h[unit] = values[~m]
-                    buf[:, r, loop] = math.fsum(h) / len(h)
-                ptr += 1
-                due = ev_step[ptr]
+    for k0, k1 in zip(cuts[:-1], cuts[1:]):
+        L = k1 - k0
+        if k0 in kick:
+            X[:, 3 : 3 + model.n_plant] += kick[k0]
+        if k0 in pulse:
+            X[:, 2] = pulse[k0]
+        Y = np.einsum("kj,ij->ki", X, V[L], optimize=False)
         if record_io:
-            recv[k] = buf[cur, :, :2]
-        np.einsum("kj,ij->ki", uz[cur], W, out=zy[1 - cur], optimize=False)
-        cur = 1 - cur
-    omega = out[:, :, 0]
-    sent = np.clip(out[:, :, 1:], -model.limits, model.limits) if record_io else None
-    return omega, sent, recv
+            recv[k0:k1] = X[:, :2]
+        while due < k1:
+            j = due - k0
+            m = ev_msg[ptr]
+            if m >= 0:
+                r, loop, _ = owner[m]
+                sent = min(max(Y.item(r, 3 * j + 1 + loop), -lim[loop]), lim[loop])
+                values[m] = quantize(sent, quantization_step)
+            else:
+                r, loop, unit = owner[~m]
+                h = held[r][loop]
+                h[unit] = values[~m]
+                new = math.fsum(h) / len(h)
+                change = new - mean[r][loop]
+                if change:
+                    # the rest of the block sees the change from step j on
+                    Y[r, 3 * j :] += change * step[L - j][loop]
+                    mean[r][loop] = X[r, loop] = new
+                    if record_io:
+                        recv[due:k1, r, loop] = new
+            ptr += 1
+            due = ev_step[ptr]
+        out[k0:k1] = Y[:, : 3 * L].reshape(R, L, 3)[:, :, :w].swapaxes(0, 1)
+        X[:, 3:] = Y[:, 3 * L :]
+    if not record_io:
+        return out[:, :, 0], None, None
+    sent = out[:, :, 1:]  # the controller outputs, limited in place
+    np.clip(sent, -model.limits, model.limits, out=sent)
+    return out[:, :, 0], sent, recv
 
 
 def run_closed_loop(
@@ -365,8 +392,8 @@ def _window_energy(t_s: np.ndarray, omega: np.ndarray, window: tuple[float, floa
     return float(np.trapezoid(omega[mask] ** 2, t_s[mask]))
 
 
-# runs advanced together per kernel call: a block holds one omega history
-# per run, so wider blocks trade memory for fewer Python-level steps
+# runs advanced together per kernel call: a batch holds one omega history
+# per run, so wider batches trade memory for fewer Python-level blocks
 _BLOCK_RUNS = 17
 
 
@@ -386,7 +413,7 @@ def ensemble(
     """Seeded Monte-Carlo ensemble; run i uses seed base_seed + i.
 
     The POD-off baseline and the runs go through the lockstep kernel in
-    blocks of ``_BLOCK_RUNS``; each run's metric equals that of
+    batches of ``_BLOCK_RUNS``; each run's metric equals that of
     ``run_closed_loop`` with its seed, bit for bit.
     """
     if n_runs < 1:
@@ -404,7 +431,7 @@ def ensemble(
         ]
         omega = _lockstep(model, t_grid, runs, channel_cfg.quantization_step)[0]
         energies += [_window_energy(t_grid, w, metric_window) for w in omega.T]
-        del omega  # free this block's history before the next one is made
+        del omega  # free this batch's history before the next one is made
     baseline, metrics = energies[0], energies[1:]
     return EnsembleStats(
         n_runs=n_runs,

@@ -276,6 +276,12 @@ class TestCampaign:
         assert rows[0] == "t_sent_s,t_received_s"
         assert rows[1] == "0,0.3"
 
+    def test_csv_rows_match_per_cell_format(self):
+        cfg = ChannelConfig(delay=default_delay_distribution(0.3), rate_hz=1.0, seed=5)
+        log = measure_campaign(cfg, 500)
+        expect = [f"{s:.9g},{r:.9g}" for s, r in log.records]
+        assert log.csv_rows()[1:] == expect
+
 
 class TestThroughput:
     def test_periodic_3p5_mass_on_3_and_4(self):

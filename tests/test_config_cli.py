@@ -1,8 +1,10 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
+from podlab import cli
 from podlab.cli import main
 from podlab.config import (
     config_hash,
@@ -154,6 +156,14 @@ class TestCliPipeline:
         assert main(args + ["--out", str(out2)]) == 0
         assert (pipeline_out / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
+    @pytest.mark.parametrize("name", ["experiment_p.csv", "experiment_q.csv", "delay_log.csv"])
+    def test_csv_parse_equals_per_value_float(self, pipeline_out, name):
+        path = pipeline_out / name
+        rows = [r for r in path.read_text().splitlines() if r and not r.startswith("#")]
+        expect = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+        got = cli._read_csv(path, "earlier stage")
+        assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
 
 class TestCliErrors:
     def test_usage_error_exits_2(self):
@@ -178,6 +188,19 @@ class TestCliErrors:
                    "--out", str(tmp_path / "empty")])
         assert rc == 1
         assert "run the earlier stage first" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stage, earlier",
+        [(["channel", "fit"], "channel measure"), (["sysid", "fit"], "sysid prbs")],
+    )
+    def test_missing_csv_artifact_names_earlier_stage(
+        self, workdir, tmp_path, capsys, stage, earlier
+    ):
+        _, cfg_path, _ = workdir
+        rc = main(stage + ["--config", str(cfg_path), "--out", str(tmp_path / "empty")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cli: required artifact") and f"run '{earlier}' first" in err
 
     def test_nyquist_violation_reported(self, workdir, pipeline_out, tmp_path, capsys):
         d, _, cfg = workdir

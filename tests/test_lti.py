@@ -97,6 +97,15 @@ class TestFreqResponse:
         with pytest.raises(LtiError, match=r"^pole on the imaginary axis at 1\.0 Hz$"):
             evaluate(tf, [0.5, 1.0, 2.0])
 
+    def test_phase_rejects_zero_first_frequency_and_empty_grid(self):
+        tf = TransferFunction([1.0], [1.0, 1.0])
+        with pytest.raises(LtiError, match=r"^frequency must be positive, got 0\.0$"):
+            unwrapped_phase_deg(tf, [0.0, 1.0])
+        with pytest.raises(LtiError, match=r"^frequency must be positive, got -1\.0$"):
+            unwrapped_phase_deg(tf, np.array([-1.0]))
+        with pytest.raises(LtiError, match=r"^no frequencies to evaluate$"):
+            unwrapped_phase_deg(tf, np.array([]))
+
 
 class TestSeries:
     def test_identity(self):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from podlab import simloop
-from podlab._sim import zoh_lsim
+from podlab._sim import _BLOCK, zoh_lsim
 from podlab.channel import (
     ChannelConfig,
     ChannelInstance,
     DelayDistribution,
     default_delay_distribution,
+    quantize,
 )
 from podlab.config import channel_config, scenario_config
 from podlab.errors import SimulationError
@@ -336,3 +337,92 @@ class TestParticipation:
         )
         assert len(trace.p_applied_times) == 1
         assert len(trace.q_applied_times) == 1
+
+
+class TestBlockEdges:
+    """The block-lifted kernel against the per-step oracle where blocks are
+    cut: the grid end, the kick, the pulse edges and same-step events."""
+
+    def _assert_matches_reference(self, plant, designs, chan, scenario, duration_s, seed=6):
+        dp, dq = designs
+        trace = run_closed_loop(plant, dp, dq, chan, scenario, seed=seed, duration_s=duration_s)
+        model = simloop._loop_model(plant, dp, dq, scenario, 1e-3)
+        omega, applied = _reference_run(model, chan, seed=seed, duration_s=duration_s)
+        assert (trace.p_applied_times, trace.q_applied_times) == applied
+        assert np.max(np.abs(trace.omega_g_pu - omega)) <= 1e-12 * np.max(np.abs(omega))
+        return trace
+
+    @pytest.mark.parametrize("duration_s", [1.601, 2.05, 2.111])
+    def test_step_count_not_a_multiple_of_the_block(
+        self, plant, designs, chan, scenario, duration_s
+    ):
+        n = int(round(duration_s / 1e-3))
+        assert n % _BLOCK != 0
+        self._assert_matches_reference(plant, designs, chan, scenario, duration_s)
+
+    @pytest.mark.parametrize("kick_step", [0, 12 * _BLOCK, 12 * _BLOCK + 29])
+    def test_kick_on_and_between_block_boundaries(self, plant, designs, chan, kick_step):
+        kick = DisturbanceScenario(kind="state-impulse", magnitude=0.05, start_s=kick_step * 1e-3)
+        t_grid = np.arange(2000) * 1e-3
+        assert int(np.searchsorted(t_grid, kick.start_s)) == kick_step
+        self._assert_matches_reference(plant, designs, chan, kick, 2.0)
+
+    @pytest.mark.parametrize("target", ["p-input", "q-input"])
+    @pytest.mark.parametrize("start_s, duration_s", [(0.65, 0.04), (0.641, 0.002)])
+    def test_pulse_on_and_off_within_one_block(
+        self, plant, designs, chan, target, start_s, duration_s
+    ):
+        pulse = DisturbanceScenario(
+            kind="input-step-pulse", magnitude=0.05, start_s=start_s,
+            duration_s=duration_s, target=target,
+        )
+        t_grid = np.arange(2000) * 1e-3
+        on, off = np.searchsorted(t_grid, [start_s, start_s + duration_s])
+        assert on // _BLOCK == off // _BLOCK and on % _BLOCK and off % _BLOCK
+        self._assert_matches_reference(plant, designs, chan, pulse, 2.0)
+
+    @pytest.mark.parametrize("q", [0.0, 0.002])
+    def test_zero_delay_channel(self, plant, designs, scenario, q):
+        zero = ChannelConfig(
+            delay=DelayDistribution.point_mass(0.0), rate_hz=5.0, quantization_step=q
+        )
+        self._assert_matches_reference(plant, designs, zero, scenario, 3.0)
+
+    def test_ensemble_wider_than_a_batch(self, plant, designs, chan, scenario):
+        dp, dq = designs
+        early = dataclasses.replace(scenario, start_s=0.3)
+        n, window = simloop._BLOCK_RUNS + 3, (0.3, 1.5)
+        stats = ensemble(n, 21, plant, dp, dq, chan, early, window, duration_s=1.5)
+        model = simloop._loop_model(plant, dp, dq, early, 1e-3)
+        t_grid = np.arange(1500) * 1e-3
+        # the baseline takes row 0 of the first batch, so runs B - 2 and B - 1
+        # straddle the first batch edge
+        for i in (0, simloop._BLOCK_RUNS - 2, simloop._BLOCK_RUNS - 1, n - 1):
+            omega, _ = _reference_run(model, chan, seed=21 + i, duration_s=1.5)
+            ref = simloop._window_energy(t_grid, omega, window)
+            assert abs(stats.metrics[i] - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("delay_s", [0.0, 0.3])
+    @pytest.mark.parametrize("q", [0.0, 0.002])
+    def test_received_reference_is_the_output_at_its_send_step(
+        self, plant, designs, scenario, delay_s, q
+    ):
+        # one unit per loop, so the received mean is the held message itself
+        dp, dq = designs
+        part = Participation(p_units=("battery",), q_units=("statcom",))
+        chan = ChannelConfig(
+            delay=DelayDistribution.point_mass(delay_s), rate_hz=5.0, quantization_step=q
+        )
+        trace = run_closed_loop(
+            plant, dp, dq, chan, scenario, seed=2, duration_s=4.0, participation=part
+        )
+        (p_sch,), (q_sch,) = simloop._schedules(simloop._channels(chan, 4.0, 2, part), trace.t_s)
+        for sch, sent, recv in (
+            (p_sch, trace.p_D_sent, trace.p_D_recv),
+            (q_sch, trace.q_D_sent, trace.q_D_recv),
+        ):
+            expect = np.zeros(len(trace.t_s))
+            for msg, k in zip(sch.applied.tolist(), sch.apply_steps.tolist()):
+                expect[k:] = quantize(float(sent[sch.send_steps[msg]]), q)
+            assert np.count_nonzero(expect) > len(expect) // 2
+            assert np.array_equal(recv, expect)
