@@ -1,8 +1,10 @@
 """Open-loop Bode assembly and closed-loop eigenvalue/damping studies."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,14 +14,15 @@ from .lti import (
     ModeReport,
     StateSpace,
     TransferFunction,
+    _companion,
+    _output_row,
     _response,
     eigen,
     mode_report,
     series,
-    to_state_space,
     unwrapped_phase_deg,
 )
-from .poddesign import CompensatorDesign
+from .poddesign import CompensatorDesign, leadlag_tf, washout
 
 __all__ = [
     "EigenStudy",
@@ -145,9 +148,44 @@ def _match_targets(
     return tuple(picked)
 
 
+class _GainFreeLoop(NamedTuple):
+    """washout * lead-lag * delay without the gain, on its companion form.
+
+    Every array is read-only: one instance serves every gain of a design.
+    """
+
+    wl_num: np.ndarray  # washout * lead-lag numerator
+    delay_num: np.ndarray
+    den_last: float
+    a: np.ndarray  # monic denominator
+    A: np.ndarray
+    B: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _gain_free_loop(
+    time_constants: tuple[float, float, float, float],
+    washout_Tw_s: float,
+    delay_tf: TransferFunction,
+) -> _GainFreeLoop:
+    wl = series(washout(washout_Tw_s), leadlag_tf(*time_constants))
+    # the gain scales the numerator only; the denominator is the same for all
+    den = np.asarray(series(wl, delay_tf).den)
+    A, B, a = _companion(den)
+    loop = _GainFreeLoop(np.array(wl.num), np.array(delay_tf.num), den[-1], a, A, B)
+    for arr in (loop.wl_num, loop.delay_num, a, A, B):
+        arr.setflags(write=False)
+    return loop
+
+
 def _ctrl_ss(design: CompensatorDesign, surrogate_tf: TransferFunction, gain: float) -> StateSpace:
-    tf = series(controller_tf(design, gain), surrogate_tf)
-    return to_state_space(tf)
+    """State space of gain * washout * lead-lag * delay: the realisation of
+    ``series(controller_tf(design, gain), surrogate_tf)``, bit for bit."""
+    loop = _gain_free_loop(design.time_constants, design.washout_Tw_s, surrogate_tf)
+    # the numerator as the two series() products form it, in their order
+    num = np.convolve(np.convolve([gain], loop.wl_num), loop.delay_num)
+    C, D = _output_row(num, loop.den_last, loop.a)
+    return StateSpace(loop.A, loop.B, C, D)
 
 
 def closed_loop_modes(

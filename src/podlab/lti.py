@@ -188,28 +188,39 @@ def series(a: TransferFunction, b: TransferFunction) -> TransferFunction:
     return TransferFunction(num, den)
 
 
+def _companion(den: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A and B of the controllable-canonical form for the denominator ``den``
+    (ascending powers), and ``den`` made monic."""
+    n = len(den) - 1
+    a = den / den[-1]
+    A = np.zeros((n, n))
+    B = np.zeros((n, 1))
+    if n:
+        A[:-1, 1:] = np.eye(n - 1)
+        A[-1, :] = -a[:n]
+        B[-1, 0] = 1.0
+    return A, B, a
+
+
+def _output_row(num: Sequence[float], den_last: float, a: np.ndarray) -> tuple[np.ndarray, list]:
+    """C and D that realise ``num`` over the companion form of ``_companion``;
+    ``den_last`` is the denominator's leading coefficient, ``a`` its monic form."""
+    n = len(a) - 1
+    b = np.zeros(n + 1)
+    b[: len(num)] = num
+    b = b / den_last
+    d = b[n]
+    return (b[:n] - a[:n] * d).reshape(1, n), [[d]]
+
+
 def to_state_space(tf: TransferFunction) -> StateSpace:
     """Controllable-canonical realization of a proper transfer function."""
-    n = tf.order
     den = np.asarray(tf.den, dtype=float)
     if den[-1] == 0.0:
         raise LtiError("denominator leading coefficient is zero after trimming")
-    num = np.zeros(n + 1)
-    num[: len(tf.num)] = tf.num
-    # monic normalization
-    a = den / den[-1]
-    b = num / den[-1]
-    d = b[n]
-    if n == 0:
-        z = np.zeros((0, 0))
-        return StateSpace(z, np.zeros((0, 1)), np.zeros((1, 0)), [[d]])
-    A = np.zeros((n, n))
-    A[:-1, 1:] = np.eye(n - 1)
-    A[-1, :] = -a[:n]
-    B = np.zeros((n, 1))
-    B[-1, 0] = 1.0
-    C = (b[:n] - a[:n] * d).reshape(1, n)
-    return StateSpace(A, B, C, [[d]])
+    A, B, a = _companion(den)
+    C, D = _output_row(tf.num, den[-1], a)
+    return StateSpace(A, B, C, D)
 
 
 def eigen(A: np.ndarray) -> np.ndarray:

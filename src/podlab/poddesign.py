@@ -160,7 +160,8 @@ def residual_F(x: np.ndarray, ctx: DesignContext) -> np.ndarray:
     magnitude of the other mode's fixed open-loop phase; when a denominator
     falls under 1 degree the residuals fall back to the unnormalized form.
     """
-    Ts = np.clip(np.exp(np.asarray(x, dtype=float)), T_MIN, T_MAX)
+    # np.exp, not math.exp: the two round differently on some inputs
+    Ts = [min(max(T, T_MIN), T_MAX) for T in np.exp(np.asarray(x, dtype=float)).tolist()]
     e1 = leadlag_phase_deg(Ts, ctx.omegas[0]) + ctx.fixed_phase_deg[0]
     e2 = leadlag_phase_deg(Ts, ctx.omegas[1]) + ctx.fixed_phase_deg[1]
     d1 = -ctx.fixed_phase_deg[1]  # cross-mode denominator for F1
@@ -181,14 +182,21 @@ class DoglegResult:
     iterations: int
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float vector, as np.linalg.norm computes it."""
+    return math.sqrt(v.dot(v))
+
+
 def _jacobian(fun, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
-    f0 = np.atleast_1d(fun(x))
-    J = np.empty((len(f0), len(x)))
-    for j in range(len(x)):
-        h = rel_step * max(1.0, abs(x[j]))
+    cols = []
+    for j, xj in enumerate(x.tolist()):
+        h = rel_step * max(1.0, abs(xj))
         xp = x.copy(); xp[j] += h
         xm = x.copy(); xm[j] -= h
-        J[:, j] = (np.atleast_1d(fun(xp)) - np.atleast_1d(fun(xm))) / (2.0 * h)
+        cols.append((np.atleast_1d(fun(xp)) - np.atleast_1d(fun(xm))) / (2.0 * h))
+    # column_stack builds a C-contiguous J; the BLAS products below round
+    # differently on a transposed (Fortran-ordered) one
+    J = np.column_stack(cols)
     if not np.all(np.isfinite(J)):
         raise DesignError("Jacobian evaluation failed (non-finite entries)")
     return J
@@ -208,7 +216,7 @@ def dogleg_solve(
     """
     x = np.asarray(x0, dtype=float).copy()
     F = np.atleast_1d(fun(x))
-    fnorm = float(np.linalg.norm(F))
+    fnorm = _norm(F)
     radius = 1.0
     it = 0
     while it < max_iter:
@@ -218,15 +226,15 @@ def dogleg_solve(
         J = _jacobian(fun, x)
         g = J.T @ F
         gn = np.linalg.lstsq(J, -F, rcond=None)[0]  # minimum-norm Gauss-Newton
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _norm(g)
         if gnorm == 0.0:
             break
-        if np.linalg.norm(gn) <= radius:
+        if _norm(gn) <= radius:
             p = gn
         else:
-            t = gnorm**2 / float(np.linalg.norm(J @ g) ** 2)
+            t = gnorm**2 / _norm(J @ g) ** 2
             p_sd = -t * g
-            if np.linalg.norm(p_sd) >= radius:
+            if _norm(p_sd) >= radius:
                 p = -radius * g / gnorm
             else:
                 d = gn - p_sd
@@ -236,20 +244,21 @@ def dogleg_solve(
                 tau = (-b + math.sqrt(max(b * b - 4.0 * a * c, 0.0))) / (2.0 * a)
                 p = p_sd + tau * d
         F_new = np.atleast_1d(fun(x + p))
-        fnorm_new = float(np.linalg.norm(F_new))
-        pred = fnorm**2 - float(np.linalg.norm(F + J @ p) ** 2)
+        fnorm_new = _norm(F_new)
+        pred = fnorm**2 - _norm(F + J @ p) ** 2
         actual = fnorm**2 - fnorm_new**2
         rho = actual / pred if pred > 0 else -1.0
         if rho > 1e-4:
             x = x + p
             F = F_new
             fnorm = fnorm_new
+        pnorm = _norm(p)
         if rho < 0.25:
-            radius = 0.25 * float(np.linalg.norm(p))
-        elif rho > 0.75 and abs(np.linalg.norm(p) - radius) < 1e-10 * radius + 1e-14:
+            radius = 0.25 * pnorm
+        elif rho > 0.75 and abs(pnorm - radius) < 1e-10 * radius + 1e-14:
             radius = min(2.0 * radius, 1e6)
         elif rho > 0.75:
-            radius = max(radius, 2.0 * float(np.linalg.norm(p)))
+            radius = max(radius, 2.0 * pnorm)
         if radius < radius_floor:
             break
     return DoglegResult(x, fnorm, fnorm <= tol, it)
@@ -320,13 +329,12 @@ def design_compensator(
         if f >= f_max:
             raise NyquistLimitError(f, f_max)
     wash = washout(washout_Tw_s)
+    phi_P = [phase_at(plant.tf, w) for w in modes]
+    phi_D = [phase_at(surrogate.pade, w) for w in modes]
     # the phase criterion is modular: only the angle of each loop element
     # matters, not its accumulated unwrapped value, so wrap to principal range
     fixed = tuple(
-        wrap_phase_deg(
-            phase_at(plant.tf, w) + phase_at(surrogate.pade, w) + phase_at(wash, w)
-        )
-        for w in modes
+        wrap_phase_deg(p + d + phase_at(wash, w)) for p, d, w in zip(phi_P, phi_D, modes)
     )
     ctx = DesignContext(omegas=tuple(modes), fixed_phase_deg=fixed)
 
@@ -366,8 +374,8 @@ def design_compensator(
         gain=0.0, washout_Tw_s=washout_Tw_s, limit_pu=limit_pu, loop=loop,
     )
     budget = PhaseBudget(
-        phi_P_deg=tuple(wrap_phase_deg(phase_at(plant.tf, w)) for w in modes),
-        phi_D_deg=tuple(wrap_phase_deg(phase_at(surrogate.pade, w)) for w in modes),
+        phi_P_deg=tuple(wrap_phase_deg(p) for p in phi_P),
+        phi_D_deg=tuple(wrap_phase_deg(d) for d in phi_D),
         phi_C_deg=tuple(leadlag_phase_deg(Ts, w) for w in modes),
     )
     F = residual_F(r.x, ctx)

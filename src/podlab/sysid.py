@@ -92,6 +92,22 @@ def gen_prbs(cfg: PrbsConfig, sample_rate_hz: float = 100.0) -> np.ndarray:
     return cfg.amplitude_pu * chips[idx]
 
 
+def _spectra(
+    u: np.ndarray, y: np.ndarray, sample_rate_hz: float, window: str, nperseg: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Welch spectra S_uu and S_uy on 50%-overlap segments, and the
+    magnitude-squared coherence from them plus S_yy: three spectral
+    estimates, where scipy.signal.coherence would compute S_uu and S_uy again."""
+    welch_args = dict(
+        fs=sample_rate_hz, window=window, nperseg=nperseg, noverlap=nperseg // 2, detrend=False
+    )
+    f, s_uu = scipy.signal.welch(u, **welch_args)
+    _, s_yy = scipy.signal.welch(y, **welch_args)
+    _, s_uy = scipy.signal.csd(u, y, **welch_args)
+    # scipy.signal.coherence's own formula
+    return f, s_uu, s_uy, np.abs(s_uy) ** 2 / s_uu / s_yy
+
+
 def estimate_frf(
     u: np.ndarray,
     y: np.ndarray,
@@ -119,16 +135,7 @@ def estimate_frf(
         )
     if nperseg is None:
         nperseg = 2 ** int(math.floor(math.log2(len(u) / 4)))
-    noverlap = nperseg // 2
-    f, s_uu = scipy.signal.welch(
-        u, fs=sample_rate_hz, window=window, nperseg=nperseg, noverlap=noverlap, detrend=False
-    )
-    _, s_uy = scipy.signal.csd(
-        u, y, fs=sample_rate_hz, window=window, nperseg=nperseg, noverlap=noverlap, detrend=False
-    )
-    _, coh = scipy.signal.coherence(
-        u, y, fs=sample_rate_hz, window=window, nperseg=nperseg, noverlap=noverlap, detrend=False
-    )
+    f, s_uu, s_uy, coh = _spectra(u, y, sample_rate_hz, window, nperseg)
     mask = (f >= lo) & (f <= hi) & (s_uu > 0)
     if not np.any(mask):
         raise SysidError("no spectral points inside the band")

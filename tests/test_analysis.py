@@ -1,19 +1,24 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from podlab.analysis import (
+    _ctrl_ss,
+    _gain_free_loop,
+    _match_targets,
     bode_table,
     closed_loop_modes,
     closed_loop_modes_two,
     controller_tf,
     delay_sweep,
+    feedback_interconnect,
     open_loop,
 )
 from podlab.delaymodel import pade_approx
 from podlab.errors import AnalysisError
-from podlab.lti import StateSpace, TransferFunction, eigen, to_state_space
+from podlab.lti import StateSpace, TransferFunction, eigen, series, to_state_space
 from podlab.poddesign import leadlag_tf, washout
 
 
@@ -186,3 +191,114 @@ class TestBodeTable:
             ma, mb, mab = (float(r.split(",")[1]) for r in (ra, rb, rab))
             # rows carry 9 significant digits, so allow formatting roundoff
             assert mab == pytest.approx(ma + mb, abs=1e-6)
+
+
+def _companion_realisation(tf):
+    """to_state_space in one piece, as it was before the memoised loop shared
+    its companion-form parts: the reference for both."""
+    n = tf.order
+    den = np.asarray(tf.den, dtype=float)
+    num = np.zeros(n + 1)
+    num[: len(tf.num)] = tf.num
+    a = den / den[-1]
+    b = num / den[-1]
+    d = b[n]
+    if n == 0:
+        return StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[d]])
+    A = np.zeros((n, n))
+    A[:-1, 1:] = np.eye(n - 1)
+    A[-1, :] = -a[:n]
+    B = np.zeros((n, 1))
+    B[-1, 0] = 1.0
+    C = (b[:n] - a[:n] * d).reshape(1, n)
+    return StateSpace(A, B, C, [[d]])
+
+
+def _hand_built_ctrl(design, d_tf, gain):
+    return _companion_realisation(series(controller_tf(design, gain), d_tf))
+
+
+def _same_ss(a, b):
+    return all(
+        getattr(a, m).shape == getattr(b, m).shape
+        and getattr(a, m).tobytes() == getattr(b, m).tobytes()
+        for m in "ABCD"
+    )
+
+
+class TestMemoisedLoop:
+    """The gain-free loop is realised once per design and delay; every gain
+    and delay case still equals the assembly built from transfer functions."""
+
+    def test_to_state_space_matches_reference(self):
+        tfs = [
+            TransferFunction.constant(2.5),
+            TransferFunction([1.0], [1.0, 1.0]),
+            TransferFunction([0.0, 2.0, 1.0], [3.0, 1.0, 0.5]),
+            leadlag_tf(1.0, 0.2, 0.5, 0.1),
+            series(washout(5.0), leadlag_tf(0.9, 0.3, 0.2, 0.05)),
+        ] + [pade_approx(0.3, k) for k in (1, 3, 6)]
+        for tf in tfs:
+            assert _same_ss(to_state_space(tf), _companion_realisation(tf))
+
+    def test_eigenvalues_match_hand_built_assembly(self, cfg, identified, surrogate, loop_designs):
+        grid = cfg["design"]["gain_grid"]
+        K = np.geomspace(grid["lo"], grid["hi"], grid["n"])
+        delays = [TransferFunction.constant(1.0)] + [
+            pade_approx(d, surrogate.order[0] or 4) for d in (0.15, 0.3, 0.6)
+        ]
+        for ident, ld in zip(identified, loop_designs):
+            ss = to_state_space(ident.tf)
+            modes_hz = tuple(w / (2.0 * math.pi) for w in ld.context.omegas)
+            cases = [(float(k), surrogate.pade) for k in (0.0, *K, *(2.0 * K))]
+            cases += [(ld.design.gain, d_tf) for d_tf in delays]
+            for gain, d_tf in cases:
+                ctrl = _hand_built_ctrl(ld.design, d_tf, gain)
+                ref = eigen(feedback_interconnect(ss.A, [ss.B], ss.C, [ctrl]))
+                try:
+                    got = closed_loop_modes(
+                        ss, ld.design, surrogate, gain, modes_hz, surrogate_tf=d_tf
+                    ).eigenvalues
+                except AnalysisError:
+                    # a gain select_gain skips: the same eigenvalues, equally ambiguous
+                    with pytest.raises(AnalysisError):
+                        _match_targets(ref, modes_hz)
+                    ctrl = _ctrl_ss(ld.design, d_tf, gain)
+                    got = eigen(feedback_interconnect(ss.A, [ss.B], ss.C, [ctrl]))
+                assert got.tobytes() == ref.tobytes()
+
+    def test_two_loop_eigenvalues_match_hand_built_assembly(self, plant, surrogate, loop_designs):
+        dp, dq = (ld.design for ld in loop_designs)
+        for scale in (0.0, 0.5, 1.0, 2.0):
+            got = closed_loop_modes_two(
+                plant.A, plant.B_p, plant.B_q, plant.C, dp, dq, surrogate, (0.45, 0.90),
+                gain_scale=scale,
+            ).eigenvalues
+            ctrls = [_hand_built_ctrl(d, surrogate.pade, d.gain * scale) for d in (dp, dq)]
+            ref = eigen(feedback_interconnect(plant.A, [plant.B_p, plant.B_q], plant.C, ctrls))
+            assert got.tobytes() == ref.tobytes()
+
+    def test_designs_with_other_time_constants_get_their_own_loop(self, surrogate, loop_designs):
+        d = loop_designs[0].design
+        base = _gain_free_loop(d.time_constants, d.washout_Tw_s, surrogate.pade)
+        assert _gain_free_loop(d.time_constants, d.washout_Tw_s, surrogate.pade) is base
+        others = [
+            dataclasses.replace(d, T1_s=d.T2_s, T2_s=d.T1_s),
+            dataclasses.replace(d, T3_s=math.nextafter(d.T3_s, 0.0)),
+        ]
+        for other in others:
+            loop = _gain_free_loop(other.time_constants, other.washout_Tw_s, surrogate.pade)
+            assert loop is not base
+            for gain in (0.0, d.gain):
+                assert _same_ss(
+                    _ctrl_ss(other, surrogate.pade, gain),
+                    _hand_built_ctrl(other, surrogate.pade, gain),
+                )
+
+    def test_cached_arrays_are_read_only(self, surrogate, loop_designs):
+        d = loop_designs[0].design
+        loop = _gain_free_loop(d.time_constants, d.washout_Tw_s, surrogate.pade)
+        for arr in (loop.wl_num, loop.delay_num, loop.a, loop.A, loop.B):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0

@@ -1,9 +1,12 @@
+import copy
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from podlab import pipeline, poddesign
 from podlab.errors import (
     AnalysisError,
     DesignError,
@@ -12,8 +15,11 @@ from podlab.errors import (
 )
 from podlab.lti import phase_at, series
 from podlab.poddesign import (
+    T_MAX,
+    T_MIN,
     CompensatorDesign,
     DesignContext,
+    DoglegResult,
     LimitsInput,
     PhaseBudget,
     design_compensator,
@@ -26,6 +32,7 @@ from podlab.poddesign import (
     washout,
     wrap_phase_deg,
 )
+from podlab.sysid import find_modes
 
 
 class TestLeadLag:
@@ -329,3 +336,176 @@ class TestSelectGain:
         assert min(m.damping_ratio for m in tuned.target_modes) >= min(
             m.damping_ratio for m in base.target_modes
         )
+
+
+# The array-based residual, Jacobian and np.linalg.norm dogleg that the lean
+# solver path replaced, kept as its bitwise reference.
+def _reference_residual_F(x, ctx):
+    Ts = np.clip(np.exp(np.asarray(x, dtype=float)), T_MIN, T_MAX)
+    e1 = leadlag_phase_deg(Ts, ctx.omegas[0]) + ctx.fixed_phase_deg[0]
+    e2 = leadlag_phase_deg(Ts, ctx.omegas[1]) + ctx.fixed_phase_deg[1]
+    d1 = -ctx.fixed_phase_deg[1]
+    d2 = -ctx.fixed_phase_deg[0]
+    if abs(d1) <= 1.0 or abs(d2) <= 1.0:
+        warnings.warn(
+            "cross-mode phase denominator under 1 degree; using unnormalized residuals"
+        )
+        return np.array([e1, e2])
+    return np.array([e1 / d1, e2 / d2])
+
+
+def _reference_jacobian(fun, x, rel_step=1e-6):
+    f0 = np.atleast_1d(fun(x))
+    J = np.empty((len(f0), len(x)))
+    for j in range(len(x)):
+        h = rel_step * max(1.0, abs(x[j]))
+        xp = x.copy(); xp[j] += h
+        xm = x.copy(); xm[j] -= h
+        J[:, j] = (np.atleast_1d(fun(xp)) - np.atleast_1d(fun(xm))) / (2.0 * h)
+    if not np.all(np.isfinite(J)):
+        raise DesignError("Jacobian evaluation failed (non-finite entries)")
+    return J
+
+
+def _reference_dogleg_solve(fun, x0, max_iter=200, tol=1e-10, radius_floor=1e-12):
+    x = np.asarray(x0, dtype=float).copy()
+    F = np.atleast_1d(fun(x))
+    fnorm = float(np.linalg.norm(F))
+    radius = 1.0
+    it = 0
+    while it < max_iter:
+        it += 1
+        if fnorm <= tol:
+            return DoglegResult(x, fnorm, True, it - 1)
+        J = _reference_jacobian(fun, x)
+        g = J.T @ F
+        gn = np.linalg.lstsq(J, -F, rcond=None)[0]
+        gnorm = float(np.linalg.norm(g))
+        if gnorm == 0.0:
+            break
+        if np.linalg.norm(gn) <= radius:
+            p = gn
+        else:
+            t = gnorm**2 / float(np.linalg.norm(J @ g) ** 2)
+            p_sd = -t * g
+            if np.linalg.norm(p_sd) >= radius:
+                p = -radius * g / gnorm
+            else:
+                d = gn - p_sd
+                a = float(d @ d)
+                b = 2.0 * float(p_sd @ d)
+                c = float(p_sd @ p_sd) - radius**2
+                tau = (-b + math.sqrt(max(b * b - 4.0 * a * c, 0.0))) / (2.0 * a)
+                p = p_sd + tau * d
+        F_new = np.atleast_1d(fun(x + p))
+        fnorm_new = float(np.linalg.norm(F_new))
+        pred = fnorm**2 - float(np.linalg.norm(F + J @ p) ** 2)
+        actual = fnorm**2 - fnorm_new**2
+        rho = actual / pred if pred > 0 else -1.0
+        if rho > 1e-4:
+            x = x + p
+            F = F_new
+            fnorm = fnorm_new
+        if rho < 0.25:
+            radius = 0.25 * float(np.linalg.norm(p))
+        elif rho > 0.75 and abs(np.linalg.norm(p) - radius) < 1e-10 * radius + 1e-14:
+            radius = min(2.0 * radius, 1e6)
+        elif rho > 0.75:
+            radius = max(radius, 2.0 * float(np.linalg.norm(p)))
+        if radius < radius_floor:
+            break
+    return DoglegResult(x, fnorm, fnorm <= tol, it)
+
+
+def _bits(o):
+    """``o`` with every float spelled exactly, for bitwise comparison."""
+    if isinstance(o, float):
+        return o.hex()
+    if isinstance(o, np.ndarray):
+        return (o.dtype.str, o.shape, o.tobytes())
+    if isinstance(o, (tuple, list)):
+        return [_bits(v) for v in o]
+    if dataclasses.is_dataclass(o):
+        return {f.name: _bits(getattr(o, f.name)) for f in dataclasses.fields(o)}
+    return o
+
+
+def _drawn_configs(base, n, seed):
+    """Plant and channel draws over the ranges the design-sweep benchmark uses."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        cfg = copy.deepcopy(base)
+        cfg["channel"]["delay"] = {"kind": "default-histogram", "mean_s": float(rng.uniform(0.29, 0.335))}
+        cfg["channel"]["rate_hz"] = float(rng.uniform(2.5, 10.0))
+        scale = float(rng.uniform(0.95, 1.05))
+        cfg["plant"]["mode_freqs_hz"] = [f * scale for f in cfg["plant"]["mode_freqs_hz"]]
+        cfg["plant"]["damping_ratios"] = [float(rng.uniform(0.015, 0.03)), float(rng.uniform(0.02, 0.04))]
+        out.append(cfg)
+    return out
+
+
+def _dogleg_starts(n_starts=8):
+    """The start points design_compensator tries, in its order."""
+    return [
+        np.log(np.array([v, v / 3.0, v * scale, v * scale / 3.0]))
+        for v in np.geomspace(0.05, 5.0, n_starts)
+        for scale in (1.0, 0.25, 4.0)
+    ]
+
+
+class TestBitwiseReference:
+    """The lean residual, Jacobian and norms reproduce the array-based
+    solver path bit for bit: same iterates, same norms, same designs."""
+
+    def test_residual_matches_reference(self):
+        rng = np.random.default_rng(11)
+        ctxs = [
+            DesignContext(omegas=(2.827, 5.655), fixed_phase_deg=(-130.0, -110.0)),
+            DesignContext(omegas=(1.3, 7.1), fixed_phase_deg=(-0.5, -30.0)),  # unnormalized
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for ctx in ctxs:
+                # spans the clamp box on both sides
+                for x in rng.uniform(-7.0, 4.0, size=(200, 4)):
+                    assert _bits(residual_F(x, ctx)) == _bits(_reference_residual_F(x, ctx))
+
+    def test_dogleg_matches_reference(self, loop_designs):
+        rng = np.random.default_rng(12)
+        ctxs = [ld.context for ld in loop_designs] + [
+            DesignContext(
+                omegas=(float(rng.uniform(2.0, 3.5)), float(rng.uniform(5.0, 7.0))),
+                fixed_phase_deg=(float(rng.uniform(-170.0, -20.0)), float(rng.uniform(-170.0, -20.0))),
+            )
+            for _ in range(3)
+        ]
+        for ctx in ctxs:
+            for x0 in _dogleg_starts():
+                got = dogleg_solve(lambda x: residual_F(x, ctx), x0)
+                ref = _reference_dogleg_solve(lambda x: _reference_residual_F(x, ctx), x0)
+                assert _bits(got) == _bits(ref)
+
+    def test_design_compensator_matches_reference(self, cfg, identified, surrogate, monkeypatch):
+        cases = [(cfg, identified, surrogate)]
+        for drawn in _drawn_configs(cfg, 3, seed=13):
+            cases.append(
+                (drawn, pipeline.identify_both(drawn), pipeline.design_surrogate(drawn))
+            )
+
+        def designs():
+            out = []
+            for c, idents, sur in cases:
+                for ident in idents:
+                    modes = find_modes(ident, band_hz=tuple(c["design"]["band_hz"]))
+                    out.append(
+                        design_compensator(ident, sur, modes, c["channel"]["rate_hz"], limit_pu=0.05)
+                    )
+            return out
+
+        got = designs()
+        monkeypatch.setattr(poddesign, "residual_F", _reference_residual_F)
+        monkeypatch.setattr(poddesign, "dogleg_solve", _reference_dogleg_solve)
+        ref = designs()
+        assert len(got) == 8
+        assert _bits(got) == _bits(ref)

@@ -3,12 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from podlab._sim import zoh_lsim
 from podlab.errors import SysidError
 from podlab.lti import TransferFunction, mode_report, to_state_space
 from podlab.sysid import (
     IdentifiedPlant,
+    _spectra,
     PrbsConfig,
     estimate_frf,
     find_modes,
@@ -117,6 +119,22 @@ class TestEstimateFrf:
     def test_short_trace_rejected(self):
         with pytest.raises(SysidError, match="short"):
             estimate_frf(np.zeros(1000), np.zeros(1000), 100.0, (0.1, 2.0))
+
+    @pytest.mark.parametrize("window,nperseg", [("hann", 1024), ("boxcar", 1023)])
+    def test_spectra_equal_scipy_bitwise(self, window, nperseg):
+        # the coherence estimate_frf gates on is scipy.signal.coherence's
+        # value, bit for bit, though built from the spectra it already has
+        rng = np.random.default_rng(3)
+        u = self._prbs()
+        ss = to_state_space(TransferFunction([1.0], [1.0, 1.0]))
+        y = zoh_lsim(ss, u, 0.01) + 0.05 * rng.normal(size=len(u))
+        f, s_uu, s_uy, coh = _spectra(u, y, 100.0, window, nperseg)
+        kw = dict(fs=100.0, window=window, nperseg=nperseg, noverlap=nperseg // 2, detrend=False)
+        f_ref, coh_ref = scipy.signal.coherence(u, y, **kw)
+        assert f.tobytes() == f_ref.tobytes()
+        assert coh.tobytes() == coh_ref.tobytes()
+        assert s_uu.tobytes() == scipy.signal.welch(u, **kw)[1].tobytes()
+        assert s_uy.tobytes() == scipy.signal.csd(u, y, **kw)[1].tobytes()
 
     def test_low_coherence_rejected(self):
         rng = np.random.default_rng(0)
