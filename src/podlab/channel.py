@@ -24,6 +24,7 @@ __all__ = [
     "quantize",
     "ChannelSchedule",
     "ChannelInstance",
+    "require_sample_rate",
     "transmit",
     "measure_campaign",
     "throughput_stats",
@@ -328,6 +329,16 @@ class ChannelInstance:
         return self._held
 
 
+def require_sample_rate(sample_rate_hz: float, cfg: ChannelConfig) -> None:
+    """Raise ChannelError unless a grid sampling at ``sample_rate_hz`` takes
+    at least 100 steps per message interval of the channel."""
+    if sample_rate_hz < 100.0 * cfg.rate_hz:
+        raise ChannelError(
+            f"simulation rate {sample_rate_hz:g} Hz too low: require >= "
+            f"{100.0 * cfg.rate_hz:g} Hz for rate_hz={cfg.rate_hz:g}"
+        )
+
+
 def transmit(
     inputs: np.ndarray,
     sample_rate_hz: float,
@@ -338,11 +349,7 @@ def transmit(
 
     Returns the receiver-side zero-order-hold trace on the same time grid.
     """
-    if sample_rate_hz < 100.0 * cfg.rate_hz:
-        raise ChannelError(
-            f"simulation rate {sample_rate_hz:g} Hz too low: require >= "
-            f"{100.0 * cfg.rate_hz:g} Hz for rate_hz={cfg.rate_hz:g}"
-        )
+    require_sample_rate(sample_rate_hz, cfg)
     u = np.asarray(inputs, dtype=float)
     dt = 1.0 / sample_rate_hz
     inst = ChannelInstance(cfg, duration_s=len(u) * dt, rng=rng)

@@ -12,7 +12,13 @@ import numpy as np
 
 from ._csvfmt import format_rows
 from ._sim import _BLOCK, zoh_discretize
-from .channel import ChannelConfig, ChannelInstance, ChannelSchedule, quantize
+from .channel import (
+    ChannelConfig,
+    ChannelInstance,
+    ChannelSchedule,
+    quantize,
+    require_sample_rate,
+)
 from .errors import SimulationError
 from .lti import to_state_space
 from .poddesign import CompensatorDesign
@@ -339,7 +345,7 @@ def run_closed_loop(
     frequency deviation; the limiter acts on the central side before
     transmission.
     """
-    _check_grid(duration_s, dt)
+    _check_grid(duration_s, dt, channel_cfg)
     model = _loop_model(plant, design_p, design_q, scenario, dt)
     t_grid = np.arange(int(round(duration_s / dt))) * dt
     n = len(t_grid)
@@ -372,11 +378,13 @@ def run_closed_loop(
     )
 
 
-def _check_grid(duration_s: float, dt: float) -> None:
+def _check_grid(duration_s: float, dt: float, channel_cfg: ChannelConfig) -> None:
     if dt > 1e-3:
         raise SimulationError(f"simulation step {dt:g} s exceeds the 1 ms limit")
     if duration_s <= 0:
         raise SimulationError("duration must be positive")
+    # POD off too: an on/off comparison runs both cases on one grid
+    require_sample_rate(1.0 / dt, channel_cfg)
 
 
 def damping_metric(trace: SimTrace, window: tuple[float, float]) -> float:
@@ -418,7 +426,7 @@ def ensemble(
     """
     if n_runs < 1:
         raise SimulationError("n_runs must be >= 1")
-    _check_grid(duration_s, dt)
+    _check_grid(duration_s, dt, channel_cfg)
     model = _loop_model(plant, design_p, design_q, scenario, dt)
     t_grid = np.arange(int(round(duration_s / dt))) * dt
     seeds = [None] + [base_seed + i for i in range(n_runs)]  # None: the baseline

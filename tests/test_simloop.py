@@ -14,7 +14,7 @@ from podlab.channel import (
     quantize,
 )
 from podlab.config import channel_config, scenario_config
-from podlab.errors import SimulationError
+from podlab.errors import ChannelError, SimulationError
 from podlab.refplant import DisturbanceScenario, apply_disturbance
 from podlab.simloop import (
     Participation,
@@ -179,11 +179,12 @@ class TestRunClosedLoop:
         ideal = ChannelConfig(
             delay=DelayDistribution.point_mass(0.0), rate_hz=50.0, seed=0
         )
+        # a 50 Hz channel needs a 0.2 ms grid to meet the sampling guard
         on = run_closed_loop(
-            plant, dp, dq, ideal, scenario, seed=0, pod_on=True, duration_s=15.0
+            plant, dp, dq, ideal, scenario, seed=0, pod_on=True, duration_s=15.0, dt=2e-4
         )
         off = run_closed_loop(
-            plant, dp, dq, ideal, scenario, seed=0, pod_on=False, duration_s=15.0
+            plant, dp, dq, ideal, scenario, seed=0, pod_on=False, duration_s=15.0, dt=2e-4
         )
         w = (scenario.start_s, 15.0)
         assert damping_metric(on, w) < damping_metric(off, w)
@@ -234,6 +235,17 @@ class TestRunClosedLoop:
         dp, dq = designs
         with pytest.raises(SimulationError, match="1 ms"):
             run_closed_loop(plant, dp, dq, chan, scenario, seed=0, dt=5e-3)
+
+    @pytest.mark.parametrize("pod_on", [True, False])
+    def test_channel_faster_than_the_grid_rejected(self, plant, designs, scenario, pod_on):
+        dp, dq = designs
+        fast = ChannelConfig(delay=DelayDistribution.point_mass(0.1), rate_hz=20.0, seed=0)
+        with pytest.raises(ChannelError, match="require >= 2000 Hz"):
+            run_closed_loop(
+                plant, dp, dq, fast, scenario, seed=0, pod_on=pod_on, duration_s=2.0, dt=1e-3
+            )
+        with pytest.raises(ChannelError, match="require >= 2000 Hz"):
+            ensemble(2, 0, plant, dp, dq, fast, scenario, (0.5, 2.0), duration_s=2.0, dt=1e-3)
 
     def test_csv_rows_header(self, plant, designs, chan, scenario):
         dp, dq = designs
