@@ -194,14 +194,18 @@ def cmd_sysid_fit(ctx: _Ctx) -> None:
         ctx.write_json(f"identified_{tag}.json", ident.to_dict())
 
 
+def _load_surrogate(ctx: _Ctx) -> DelaySurrogate:
+    """The fitted surrogate of ``channel fit``, else the one the config implies."""
+    surrogate_path = ctx.out / "delay_surrogate.json"
+    if surrogate_path.exists():
+        return _surrogate_from_dict(json.loads(surrogate_path.read_text()))
+    return pipeline.design_surrogate(ctx.cfg)
+
+
 def cmd_design_run(ctx: _Ctx) -> None:
     identified_p = _identified_from_dict(ctx.read_json("identified_p.json"))
     identified_q = _identified_from_dict(ctx.read_json("identified_q.json"))
-    surrogate_path = ctx.out / "delay_surrogate.json"
-    if surrogate_path.exists():
-        surrogate = _surrogate_from_dict(json.loads(surrogate_path.read_text()))
-    else:
-        surrogate = pipeline.design_surrogate(ctx.cfg)
+    surrogate = _load_surrogate(ctx)
     for tag, identified in (("p", identified_p), ("q", identified_q)):
         loop = "active" if tag == "p" else "reactive"
         result = pipeline.design_loop(ctx.cfg, identified, surrogate, loop)
@@ -233,11 +237,7 @@ def _load_design_stage(ctx: _Ctx):
     dq_dict = ctx.read_json("design_q.json")
     design_p = _design_from_dict(dp_dict)
     design_q = _design_from_dict(dq_dict)
-    surrogate_path = ctx.out / "delay_surrogate.json"
-    if surrogate_path.exists():
-        surrogate = _surrogate_from_dict(json.loads(surrogate_path.read_text()))
-    else:
-        surrogate = pipeline.design_surrogate(ctx.cfg)
+    surrogate = _load_surrogate(ctx)
     modes_hz = tuple(w / (2.0 * math.pi) for w in dp_dict["mode_omegas_rad_s"])
     return identified_p, identified_q, design_p, design_q, surrogate, modes_hz
 
