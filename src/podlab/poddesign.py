@@ -194,8 +194,8 @@ def _jacobian(fun, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
         xp = x.copy(); xp[j] += h
         xm = x.copy(); xm[j] -= h
         cols.append((np.atleast_1d(fun(xp)) - np.atleast_1d(fun(xm))) / (2.0 * h))
-    # column_stack builds a C-contiguous J; the BLAS products below round
-    # differently on a transposed (Fortran-ordered) one
+    # column_stack builds a C-contiguous J; the BLAS products in dogleg_solve
+    # round differently on a transposed (Fortran-ordered) one
     J = np.column_stack(cols)
     if not np.all(np.isfinite(J)):
         raise DesignError("Jacobian evaluation failed (non-finite entries)")

@@ -12,13 +12,7 @@ import numpy as np
 
 from ._csvfmt import format_rows
 from ._sim import _BLOCK, zoh_discretize
-from .channel import (
-    ChannelConfig,
-    ChannelInstance,
-    ChannelSchedule,
-    quantize,
-    require_sample_rate,
-)
+from .channel import ChannelConfig, ChannelInstance, ChannelSchedule, quantize, require_sample_rate
 from .errors import SimulationError
 from .lti import to_state_space
 from .poddesign import CompensatorDesign
