@@ -1,18 +1,50 @@
 """Fast zero-order-hold LTI stepping shared by the sysid and simloop drivers.
 
 Uses the exact matrix-exponential discretization; this is podlab's only
-time-domain integrator.
+time-domain integrator.  The exponential is computed with numpy alone:
+scipy's bundled OpenBLAS LAPACK wakes a worker pool whose idle spin slows
+the single-threaded Python that follows each call (see the README).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.linalg
 
 from .lti import StateSpace
 
 # steps per lifted block: the state recursion runs once per block, so a
 # K-step simulation takes K/_BLOCK Python iterations
 _BLOCK = 64
+
+# Pade(13) coefficients b_0 ... b_13 and the 1-norm up to which the
+# approximant needs no scaling (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4))
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(M: np.ndarray) -> np.ndarray:
+    """exp(M) by scaling and squaring with a Pade(13) approximant."""
+    norm = float(np.abs(M).sum(axis=0).max())
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    A = M / 2.0**s
+    b = _PADE13
+    I = np.eye(A.shape[0])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    # exp(A) ~ (V - U)^-1 (V + U) with U odd and V even in A
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def zoh_discretize(A: np.ndarray, B: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -21,7 +53,7 @@ def zoh_discretize(A: np.ndarray, B: np.ndarray, dt: float) -> tuple[np.ndarray,
     M = np.zeros((n + m, n + m))
     M[:n, :n] = A
     M[:n, n:] = B
-    E = scipy.linalg.expm(M * dt)
+    E = _expm(M * dt)
     return E[:n, :n], E[:n, n:]
 
 

@@ -1,10 +1,15 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from podlab import sysid
-from podlab._sim import _BLOCK, zoh_discretize, zoh_lsim
+import podlab
+from podlab import simloop, sysid
+from podlab._sim import _BLOCK, _THETA13, _expm, zoh_discretize, zoh_lsim
+from podlab.config import channel_config, scenario_config
 from podlab.config import prbs_config
 from podlab.lti import StateSpace, TransferFunction, to_state_space
 
@@ -95,3 +100,96 @@ class TestZohLsim:
     def test_repeat_calls_are_bitwise_equal(self, plant):
         u = np.random.default_rng(8).normal(size=10_000)
         assert np.array_equal(zoh_lsim(plant.q_path, u, 0.01), zoh_lsim(plant.q_path, u, 0.01))
+
+
+def _augmented(A, B, dt):
+    n, m = A.shape[0], B.shape[1]
+    M = np.zeros((n + m, n + m))
+    M[:n, :n] = A
+    M[:n, n:] = B
+    return M * dt
+
+
+def _expm_rel_err(M):
+    ref = scipy.linalg.expm(M)
+    return np.max(np.abs(_expm(M) - ref)) / np.max(np.abs(ref))
+
+
+class TestExpm:
+    """The numpy-only Pade(13) exponential against scipy's expm as oracle."""
+
+    @pytest.mark.parametrize("dt", [0.01, 1e-3])
+    @pytest.mark.parametrize("loop", ["active", "reactive"])
+    def test_plant_paths_match_scipy(self, plant, loop, dt):
+        path = plant.p_path if loop == "active" else plant.q_path
+        # measured: <= 2.2e-16 (one ulp of the largest entry)
+        assert _expm_rel_err(_augmented(path.A, path.B, dt)) <= 1e-15
+
+    def test_loop_model_matches_scipy(self, cfg, plant, loop_designs, monkeypatch):
+        seen = []
+
+        def spy(A, B, dt):
+            seen.append(_augmented(A, B, dt))
+            return zoh_discretize(A, B, dt)
+
+        monkeypatch.setattr(simloop, "zoh_discretize", spy)
+        dp, dq = (ld.design for ld in loop_designs)
+        simloop._loop_model(plant, dp, dq, scenario_config(cfg), 1e-3)
+        (M,) = seen
+        # measured: <= 2.2e-16
+        assert _expm_rel_err(M) <= 1e-15
+
+    def test_random_matrices_match_scipy(self):
+        rng = np.random.default_rng(11)
+        norms = np.geomspace(1e-6, 50.0, 12)
+        worst = 0.0
+        for n in range(1, 21):
+            for norm in norms:
+                M = rng.normal(size=(n, n))
+                M *= norm / np.abs(M).sum(axis=0).max()
+                worst = max(worst, _expm_rel_err(M))
+        # the largest norms take the squaring branch (s = 4 at 50)
+        assert norms[-1] > 8 * _THETA13
+        # measured: <= 2.3e-13, relative to the largest entry of exp(M)
+        assert worst <= 1e-12
+
+    def test_zero_matrix_is_identity(self):
+        for n in (1, 3, 14):
+            assert np.array_equal(scipy.linalg.expm(np.zeros((n, n))), np.eye(n))
+            # the solve divides b_0 I by itself, which may round by one ulp
+            assert _expm_rel_err(np.zeros((n, n))) <= np.finfo(float).eps
+
+
+class TestNoScipyLapack:
+    """The simulators stay off scipy's LAPACK: its OpenBLAS worker pool
+    slows the single-threaded Python that follows each call."""
+
+    def test_simulators_run_without_scipy_linalg(
+        self, cfg, plant, loop_designs, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg called from a simulator")
+
+        for name in ("expm", "solve", "lu_factor"):
+            monkeypatch.setattr(scipy.linalg, name, refuse)
+        dp, dq = (ld.design for ld in loop_designs)
+        chan, scenario = channel_config(cfg), scenario_config(cfg)
+        zoh_lsim(plant.p_path, np.ones(500), 0.01)
+        simloop.run_closed_loop(plant, dp, dq, chan, scenario, seed=0, duration_s=2.0)
+        simloop.ensemble(2, 0, plant, dp, dq, chan, scenario, (0.5, 2.0), duration_s=2.0)
+
+    def test_package_calls_only_eigvals(self):
+        called = set()
+        for path in Path(podlab.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module == "scipy.linalg":
+                    called.update(f"{path.name}:{a.name}" for a in node.names)
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "linalg"
+                    and isinstance(node.value.value, ast.Name)
+                    and node.value.value.id == "scipy"
+                ):
+                    called.add(f"{path.name}:{node.attr}")
+        assert called == {"lti.py:eigvals"}
