@@ -219,14 +219,17 @@ def dogleg_solve(
     fnorm = _norm(F)
     radius = 1.0
     it = 0
+    J = None
     while it < max_iter:
         it += 1
         if fnorm <= tol:
             return DoglegResult(x, fnorm, True, it - 1)
-        J = _jacobian(fun, x)
-        g = J.T @ F
-        gn = np.linalg.lstsq(J, -F, rcond=None)[0]  # minimum-norm Gauss-Newton
-        gnorm = _norm(g)
+        if J is None:
+            # the linear model at x; a rejected step keeps x and so reuses it
+            J = _jacobian(fun, x)
+            g = J.T @ F
+            gn = np.linalg.lstsq(J, -F, rcond=None)[0]  # minimum-norm Gauss-Newton
+            gnorm = _norm(g)
         if gnorm == 0.0:
             break
         if _norm(gn) <= radius:
@@ -252,6 +255,7 @@ def dogleg_solve(
             x = x + p
             F = F_new
             fnorm = fnorm_new
+            J = None
         pnorm = _norm(p)
         if rho < 0.25:
             radius = 0.25 * pnorm

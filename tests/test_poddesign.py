@@ -486,6 +486,30 @@ class TestBitwiseReference:
                 ref = _reference_dogleg_solve(lambda x: _reference_residual_F(x, ctx), x0)
                 assert _bits(got) == _bits(ref)
 
+    def test_rejected_steps_reuse_the_jacobian(self, loop_designs, monkeypatch):
+        """A rejected step leaves x where it was, so the solver keeps the
+        Jacobian it has: each iterate's Jacobian is built once, the result is
+        unchanged, and fewer Jacobians are built than iterations run."""
+        points = []
+
+        def spy(fun, x, *args):
+            points.append(x.tobytes())
+            return jacobian(fun, x, *args)
+
+        jacobian = poddesign._jacobian
+        monkeypatch.setattr(poddesign, "_jacobian", spy)
+        n_jac = n_iter = 0
+        for ctx in (ld.context for ld in loop_designs):
+            for x0 in _dogleg_starts():
+                points.clear()
+                got = dogleg_solve(lambda x: residual_F(x, ctx), x0)
+                ref = _reference_dogleg_solve(lambda x: _reference_residual_F(x, ctx), x0)
+                assert _bits(got) == _bits(ref)
+                assert len(set(points)) == len(points)
+                n_jac += len(points)
+                n_iter += got.iterations
+        assert n_jac < n_iter
+
     def test_design_compensator_matches_reference(self, cfg, identified, surrogate, monkeypatch):
         cases = [(cfg, identified, surrogate)]
         for drawn in _drawn_configs(cfg, 3, seed=13):
