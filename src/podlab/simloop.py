@@ -171,11 +171,13 @@ def _schedules(channels, t_grid: np.ndarray) -> tuple[list[ChannelSchedule], ...
 def _events(runs) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
     """Every channel event of a batch of runs, sorted by grid step.
 
-    The batch's sent messages are numbered in one flat sequence, and
-    ``owner[m]`` is the (row, loop, unit) that sends message m.  An event is
-    its step and a signed message number: m for the send of m and ~m for
-    its application.  Within a step the sends come first; the applies of one
-    unit keep their order.
+    Only the messages the receivers apply take part: a stale message, or
+    one still in flight at the end, is never read.  The batch's applied
+    messages are numbered in one flat sequence, and ``owner[m]`` is the
+    (row, loop, unit) that sends message m.  An event is its step and a
+    signed message number: m for the send of m and ~m for its application.
+    Within a step the sends come first; the applies of one unit keep their
+    order.
     """
     steps, msgs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     owner = []
@@ -185,10 +187,11 @@ def _events(runs) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
                 # an applied message arrives within the grid, so it was sent
                 # within it: its index is below len(send_steps)
                 base = len(owner)
-                n_sent = len(sch.send_steps)
-                owner.extend([(row, loop, unit)] * n_sent)
-                steps += [sch.send_steps, sch.apply_steps]
-                msgs += [base + np.arange(n_sent), ~(base + sch.applied)]
+                n_applied = len(sch.applied)
+                owner.extend([(row, loop, unit)] * n_applied)
+                steps += [sch.send_steps[sch.applied], sch.apply_steps]
+                numbers = base + np.arange(n_applied)
+                msgs += [numbers, ~numbers]
     step, msg = np.concatenate(steps), np.concatenate(msgs)
     order = np.lexsort((msg < 0, step))
     return step[order].tolist(), msg[order].tolist(), owner

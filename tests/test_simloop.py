@@ -158,6 +158,23 @@ class TestLockstepKernel:
         )
         assert stats.baseline_metric == damping_metric(off, (0.5, 3.0))
 
+    def test_events_only_for_applied_messages(self, chan):
+        """A stale message, or one in flight at the end, is never read, so
+        the kernel queues neither its send nor an apply."""
+        t_grid = np.arange(10_000) * 1e-3
+        schedules = [
+            ChannelInstance(chan, 10.0, rng=np.random.default_rng(s)).schedule(t_grid)
+            for s in range(4)
+        ]
+        ev_step, ev_msg, owner = simloop._events([None, [schedules[:3], schedules[3:]]])
+        n_applied = sum(len(sch.applied) for sch in schedules)
+        assert n_applied < sum(len(sch.send_steps) for sch in schedules)  # stale ones exist
+        sends = {m: k for k, m in zip(ev_step, ev_msg) if m >= 0}
+        applies = {~m: k for k, m in zip(ev_step, ev_msg) if m < 0}
+        assert len(sends) == len(applies) == len(owner) == n_applied
+        assert all(sends[m] <= applies[m] for m in sends)
+        assert ev_step == sorted(ev_step)
+
 
 class TestRunClosedLoop:
     def test_pod_off_equals_free_plant_response(self, plant, designs, chan, scenario):
