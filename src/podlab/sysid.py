@@ -84,11 +84,23 @@ def prbs_chips(register_bits: int) -> np.ndarray:
 
 
 def gen_prbs(cfg: PrbsConfig, sample_rate_hz: float = 100.0) -> np.ndarray:
-    """Sampled PRBS: chips held for chip_period_s each, repeated to duration."""
+    """Sampled PRBS: chips held for chip_period_s each, repeated to duration.
+
+    A chip must span a whole number of samples.  Sample k then lies in chip
+    k // samples_per_chip, so every chip holds the same count and the input
+    repeats exactly once per PRBS period, as identify_path's leakage-free
+    Welch segments require.
+    """
     chips = prbs_chips(cfg.register_bits)
     n = int(round(cfg.duration_s * sample_rate_hz))
-    t = np.arange(n) / sample_rate_hz
-    idx = (t / cfg.chip_period_s).astype(int) % len(chips)
+    per_chip = cfg.chip_period_s * sample_rate_hz
+    samples_per_chip = round(per_chip)
+    if samples_per_chip < 1 or abs(per_chip - samples_per_chip) > 1e-9 * per_chip:
+        raise SysidError(
+            f"chip_period_s = {cfg.chip_period_s:g} s spans {per_chip:g} samples at "
+            f"{sample_rate_hz:g} Hz; it must span a whole number of samples"
+        )
+    idx = (np.arange(n) // samples_per_chip) % len(chips)
     return cfg.amplitude_pu * chips[idx]
 
 

@@ -6,6 +6,7 @@ import pytest
 import scipy.signal
 
 from podlab._sim import zoh_lsim
+from podlab.config import prbs_config
 from podlab.errors import SysidError
 from podlab.lti import TransferFunction, mode_report, to_state_space
 from podlab.sysid import (
@@ -75,6 +76,30 @@ class TestPrbs:
         assert set(np.unique(u)) == {-2.0, 2.0}
         # each chip held for 5 samples
         assert np.all(u[:5] == u[0])
+
+    def test_default_input_holds_whole_chips_and_repeats(self, cfg):
+        """Every chip spans exactly chip_period_s * fs samples, so the input
+        repeats once per PRBS period.  A time-based index put 1 990 of the
+        60 000 default samples one chip early (at k = 30, 0.3 / 0.1 gives
+        2.9999999999999996)."""
+        pcfg = prbs_config(cfg)
+        fs = cfg["identification"]["sample_rate_hz"]
+        u = gen_prbs(pcfg, sample_rate_hz=fs)
+        per_chip = 10
+        assert per_chip == pcfg.chip_period_s * fs
+        held = u.reshape(-1, per_chip)
+        assert np.all(held == held[:, :1])
+        period = pcfg.period_chips * per_chip
+        chips = pcfg.amplitude_pu * prbs_chips(pcfg.register_bits)
+        assert np.array_equal(held[: pcfg.period_chips, 0], chips)
+        for start in range(period, len(u) - period + 1, period):
+            assert np.array_equal(u[start : start + period], u[:period])
+
+    def test_chip_of_fractional_samples_rejected(self):
+        cfg = PrbsConfig(register_bits=5, chip_period_s=0.125, amplitude_pu=1.0, duration_s=10.0)
+        with pytest.raises(SysidError, match="whole number of samples"):
+            gen_prbs(cfg, sample_rate_hz=100.0)
+        assert len(gen_prbs(cfg, sample_rate_hz=80.0)) == 800
 
 
 class TestEstimateFrf:
