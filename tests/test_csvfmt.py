@@ -1,9 +1,12 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from podlab import _csvfmt
 from podlab._csvfmt import format_rows
+from podlab.config import channel_config, scenario_config
+from podlab.simloop import run_closed_loop
 
 
 def _per_cell(header, *columns):
@@ -34,3 +37,71 @@ class TestFormatRows:
     def test_any_float_matches_per_cell_format(self, values):
         x = np.array(values)
         assert format_rows("v,w", x, -x) == _per_cell("v,w", x, -x)
+
+
+def _assert_cpython_bytes(x):
+    """Each value of ``x`` beside its mirror image, as CPython's ``%`` prints them."""
+    x = np.asarray(x, dtype=float)
+    y = -x[::-1]
+    assert format_rows("v,w", x, y) == ["v,w"] + ["%.9g,%.9g" % r for r in zip(x.tolist(), y.tolist())]
+
+
+def _neighbours(x):
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+class TestArrayEncoder:
+    def test_unequal_column_lengths_raise(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            format_rows("a,b", np.arange(3.0), np.arange(2.0))
+
+    def test_near_ties_and_their_neighbours(self):
+        rng = np.random.default_rng(11)
+        mantissas = np.r_[1e8, 1e8 + 1, rng.integers(10**8, 10**9 - 1, size=60), 10**9 - 1]
+        ties = [(mantissas + 0.5) * 10.0 ** (x - 8) for x in range(-16, 33)]
+        _assert_cpython_bytes(_neighbours(np.concatenate(ties)))
+
+    def test_powers_of_ten_and_one_ulp_either_side(self):
+        _assert_cpython_bytes(_neighbours([float(f"1e{k}") for k in range(-323, 309)]))
+
+    def test_fixed_to_exponent_switch(self):
+        switch = [1e-5, 9.9999999995e-5, 1e-4, 0.000123456789, 99999999.95, 999999999.5, 1e9]
+        _assert_cpython_bytes(_neighbours(switch))
+
+    def test_exponent_range_edges(self):
+        # X = -14 and 30 are the array path's last exponents; -15 and 31 fall back
+        edges = [f"{d}e{x}" for x in (-15, -14, 30, 31) for d in ("1", "1.5", "9.99999999", "9.999999999")]
+        _assert_cpython_bytes(_neighbours([float(e) for e in edges]))
+
+    def test_subnormals_zeros_and_non_finite(self):
+        tiny = np.finfo(float).smallest_subnormal
+        _assert_cpython_bytes(
+            [tiny, 3 * tiny, 2.0**-1030, np.finfo(float).tiny, 0.0, -0.0, np.nan, np.inf, -np.inf]
+        )
+
+    def test_seeded_values_in_every_decade(self):
+        rng = np.random.default_rng(2024)
+        decades = np.arange(-17, 33)
+        x = rng.uniform(1.0, 10.0, size=(decades.size, 10_000)) * 10.0 ** decades[:, None]
+        _assert_cpython_bytes(np.where(rng.random(x.shape) < 0.5, -x, x).ravel())
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(5).integers(0, 2**64, size=100_000, dtype=np.uint64)
+        _assert_cpython_bytes(bits.view(np.float64))
+
+    def test_default_trace_takes_the_array_path(self, cfg, plant, loop_designs):
+        """A value sent to CPython prints the same bytes, only slower; the
+        default trace's finite non-zero values must all stay on the array path."""
+        sim = cfg["simulation"]
+        dp, dq = (ld.design for ld in loop_designs)
+        trace = run_closed_loop(
+            plant, dp, dq, channel_config(cfg), scenario_config(cfg),
+            seed=sim["base_seed"], duration_s=sim["duration_s"], dt=sim["dt_s"],
+        )
+        v = np.concatenate(
+            [trace.t_s, trace.omega_g_pu, trace.p_D_sent, trace.p_D_recv, trace.q_D_sent, trace.q_D_recv]
+        )
+        finite_nonzero = np.isfinite(v) & (v != 0)
+        assert finite_nonzero.sum() > 100_000
+        assert _csvfmt._mantissa(v)[2][finite_nonzero].all()
