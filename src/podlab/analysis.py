@@ -8,6 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._csvfmt import format_rows
 from .delaymodel import DelaySurrogate, pade_approx
 from .errors import AnalysisError
 from .lti import (
@@ -291,7 +292,4 @@ def bode_table(tf: TransferFunction, band_hz: tuple[float, float], n_points: int
     with np.errstate(divide="ignore"):
         mags = 20.0 * np.log10(np.abs(_response(tf, freqs)))
     phases = unwrapped_phase_deg(tf, freqs)
-    rows = ["freq_hz,mag_db,phase_deg"]
-    for f, m, ph in zip(freqs, mags, phases):
-        rows.append(f"{f:.9g},{m:.9g},{ph:.9g}")
-    return rows
+    return format_rows("freq_hz,mag_db,phase_deg", freqs, mags, phases)

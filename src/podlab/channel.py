@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.stats
 
+from ._csvfmt import format_rows
 from .errors import ChannelError
 
 __all__ = [
@@ -180,7 +181,7 @@ class DelayLog:
         return np.array([r for _, r in self.records])
 
     def csv_rows(self) -> list[str]:
-        return ["t_sent_s,t_received_s"] + ["%.9g,%.9g" % r for r in self.records]
+        return format_rows("t_sent_s,t_received_s", self.t_sent, self.t_received)
 
 
 def sample_delay(dist: DelayDistribution, rng: np.random.Generator) -> float:
