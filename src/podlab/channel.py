@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
 
 from ._csvfmt import format_rows
 from .errors import ChannelError
@@ -89,6 +88,8 @@ class DelayDistribution:
     def truncated_normal(cls, mu: float, sigma: float, low: float, high: float) -> "DelayDistribution":
         if sigma <= 0 or not low < high:
             raise ChannelError("truncated normal requires sigma > 0 and low < high")
+        import scipy.stats  # on first use, as in sysid._spectra
+
         a, b = (low - mu) / sigma, (high - mu) / sigma
         mean = float(scipy.stats.truncnorm.mean(a, b, loc=mu, scale=sigma))
         return cls(
@@ -210,6 +211,8 @@ def sample_delays(dist: DelayDistribution, rng: np.random.Generator, n: int) -> 
         # Generator.uniform(low, high) returns low + (high - low) * u
         return edges[i] + (edges[i + 1] - edges[i]) * v
     if dist.kind == "truncated-normal":
+        import scipy.stats  # on first use, as in sysid._spectra
+
         # inverse-CDF through the uniform keeps the draw stream reproducible
         a = (dist.tau_min - dist.mu) / dist.sigma
         b = (dist.tau_max - dist.mu) / dist.sigma

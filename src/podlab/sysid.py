@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .errors import SysidError
 from .lti import FrequencyResponsePoint, ModeReport, TransferFunction, mode_report
@@ -110,6 +109,10 @@ def _spectra(
     """Welch spectra S_uu and S_uy on 50%-overlap segments, and the
     magnitude-squared coherence from them plus S_yy: three spectral
     estimates, where scipy.signal.coherence would compute S_uu and S_uy again."""
+    # imported on first use: scipy.signal, and the scipy.stats it loads, would
+    # otherwise be most of the time taken by `import podlab.cli`
+    import scipy.signal
+
     welch_args = dict(
         fs=sample_rate_hz, window=window, nperseg=nperseg, noverlap=nperseg // 2, detrend=False
     )

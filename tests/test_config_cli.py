@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import podlab
 from podlab import cli
 from podlab.cli import main
 from podlab.config import (
@@ -163,6 +168,16 @@ class TestCliPipeline:
         expect = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
         got = cli._read_csv(path, "earlier stage")
         assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
+def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
+    """Every console-script stage imports podlab.cli; scipy.signal, and the
+    scipy.stats it imports, would be most of that import, so both load on first use."""
+    src = str(Path(podlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, podlab.cli; print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestCliErrors:
