@@ -125,7 +125,10 @@ def _encode(block: np.ndarray) -> list[str]:
 
 
 def format_rows(header: str, *columns: np.ndarray) -> list[str]:
-    """``header``, then row i of ``columns`` with every value as ``%.9g``."""
+    """``header``, then row i of ``columns`` with every value as ``%.9g``.
+
+    Raises ``ValueError`` when the columns differ in length.
+    """
     columns = [np.asarray(c, dtype=float) for c in columns]
     if len({len(c) for c in columns}) > 1:
         raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
