@@ -30,6 +30,7 @@ __all__ = [
     "ClosedLoopResult",
     "open_loop",
     "controller_tf",
+    "loop_blocks",
     "feedback_interconnect",
     "closed_loop_modes",
     "closed_loop_modes_two",
@@ -98,32 +99,47 @@ def open_loop(
     return out
 
 
+def loop_blocks(
+    plant_A: np.ndarray,
+    plant_Bs: list[np.ndarray],
+    plant_C: np.ndarray,
+    controllers: list[StateSpace],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plant plus the controllers, each driven by -y, inputs left open.
+
+    Returns (A, B, Cu) on the state [plant, controller 1, controller 2, ...]:
+    column i of B feeds plant input i, and row i of Cu is controller i's
+    output, its -D C feedthrough included.  Closing input i on controller i
+    gives ``A + B @ Cu``; the plant must be strictly proper so no algebraic
+    loop can arise.
+    """
+    n = plant_A.shape[0]
+    N = n + sum(c.order for c in controllers)
+    A = np.zeros((N, N))
+    A[:n, :n] = plant_A
+    B = np.zeros((N, len(plant_Bs)))
+    Cu = np.zeros((len(controllers), N))
+    off = n
+    for i, (B_i, ctrl) in enumerate(zip(plant_Bs, controllers)):
+        m = ctrl.order
+        A[off : off + m, :n] = -ctrl.B @ plant_C
+        A[off : off + m, off : off + m] = ctrl.A
+        B[:n, i] = B_i[:, 0]
+        Cu[i, :n] = -float(ctrl.D[0, 0]) * plant_C[0]
+        Cu[i, off : off + m] = ctrl.C[0]
+        off += m
+    return A, B, Cu
+
+
 def feedback_interconnect(
     plant_A: np.ndarray,
     plant_Bs: list[np.ndarray],
     plant_C: np.ndarray,
     controllers: list[StateSpace],
-    feedback_sign: float = -1.0,
 ) -> np.ndarray:
-    """State matrix of the loop where each input i receives sign * ctrl_i(y).
-
-    Assembled by block composition (no transfer-function inversion); the
-    plant must be strictly proper so no algebraic loop can arise.
-    """
-    n = plant_A.shape[0]
-    orders = [c.order for c in controllers]
-    N = n + sum(orders)
-    A = np.zeros((N, N))
-    A[:n, :n] = plant_A
-    off = n
-    for B_i, ctrl in zip(plant_Bs, controllers):
-        m = ctrl.order
-        A[:n, :n] += feedback_sign * (B_i @ ctrl.D @ plant_C)
-        A[:n, off : off + m] = feedback_sign * (B_i @ ctrl.C)
-        A[off : off + m, :n] = ctrl.B @ plant_C
-        A[off : off + m, off : off + m] = ctrl.A
-        off += m
-    return A
+    """State matrix of the loop where each input i receives ctrl_i(-y)."""
+    A, B, Cu = loop_blocks(plant_A, plant_Bs, plant_C, controllers)
+    return A + B @ Cu
 
 
 def _match_targets(

@@ -12,9 +12,10 @@ import numpy as np
 
 from ._csvfmt import format_rows
 from ._sim import _BLOCK, zoh_discretize
+from .analysis import _ctrl_ss, loop_blocks
 from .channel import ChannelConfig, ChannelInstance, ChannelSchedule, quantize, require_sample_rate
 from .errors import SimulationError
-from .lti import to_state_space
+from .lti import TransferFunction
 from .poddesign import CompensatorDesign
 from .refplant import AppliedDisturbance, DisturbanceScenario, PlantPair, apply_disturbance
 
@@ -72,13 +73,6 @@ class EnsembleStats:
         }
 
 
-def _controller_block(design: CompensatorDesign):
-    """State-space of gain * washout * lead-lag, input = measured frequency."""
-    from .analysis import controller_tf
-
-    return to_state_space(controller_tf(design))
-
-
 @dataclass(frozen=True)
 class _LoopModel:
     """The discretised plant-plus-controllers loop, acting on rows [u, z].
@@ -104,40 +98,16 @@ def _loop_model(
     dt: float,
 ) -> _LoopModel:
     dist = apply_disturbance(plant, scenario)
-    ctrl_p = _controller_block(design_p)
-    ctrl_q = _controller_block(design_q)
+    # the controllers as the eigen study realises them, without a delay
+    ctrls = [_ctrl_ss(d, TransferFunction.constant(1.0), d.gain) for d in (design_p, design_q)]
+    A, B, Cu = loop_blocks(plant.A, [plant.B_p, plant.B_q], plant.C, ctrls)
     n = plant.A.shape[0]
-    np_c, nq_c = ctrl_p.order, ctrl_q.order
-    N = n + np_c + nq_c
 
-    # combined autonomous coupling: controllers are driven by -omega_g,
-    # which is linear in the plant state, so they fold into one A matrix
-    A = np.zeros((N, N))
-    A[:n, :n] = plant.A
-    A[n : n + np_c, :n] = -ctrl_p.B @ plant.C
-    A[n : n + np_c, n : n + np_c] = ctrl_p.A
-    A[n + np_c :, :n] = -ctrl_q.B @ plant.C
-    A[n + np_c :, n + np_c :] = ctrl_q.A
-
-    # inputs: received p reference, received q reference, disturbance pulse
-    pulse_B = np.zeros((n, 1))
-    if dist.pulse_target == "p-input":
-        pulse_B = plant.B_p
-    elif dist.pulse_target == "q-input":
-        pulse_B = plant.B_q
-    B = np.zeros((N, 3))
-    B[:n, 0] = plant.B_p[:, 0]
-    B[:n, 1] = plant.B_q[:, 0]
-    B[:n, 2] = pulse_B[:, 0]
-    Ad, Bd = zoh_discretize(A, B, dt)
-
-    # outputs; the controllers emit y = Cc xc + Dc * (-omega_g)
-    Cz = np.zeros((3, N))
+    # the third input is the disturbance pulse, the first output omega_g
+    pulse_B = {"p-input": B[:, 0], "q-input": B[:, 1]}.get(dist.pulse_target, np.zeros(len(A)))
+    Ad, Bd = zoh_discretize(A, np.column_stack([B, pulse_B]), dt)
+    Cz = np.vstack([np.zeros(len(A)), Cu])
     Cz[0, :n] = plant.C[0]
-    Cz[1, n : n + np_c] = ctrl_p.C[0]
-    Cz[1, :n] = -float(ctrl_p.D[0, 0]) * plant.C[0]
-    Cz[2, n + np_c :] = ctrl_q.C[0]
-    Cz[2, :n] = -float(ctrl_q.D[0, 0]) * plant.C[0]
     return _LoopModel(
         M=np.hstack([Bd, Ad]),
         C=np.hstack([np.zeros((3, 3)), Cz]),

@@ -14,6 +14,7 @@ from podlab.analysis import (
     controller_tf,
     delay_sweep,
     feedback_interconnect,
+    loop_blocks,
     open_loop,
 )
 from podlab.delaymodel import pade_approx
@@ -54,6 +55,21 @@ class TestControllerTf:
         doubled = controller_tf(d, gain=2.0 * d.gain)
         s = 2j * math.pi * 0.45
         assert doubled(s) == pytest.approx(2.0 * base(s), rel=1e-12)
+
+
+class TestLoopBlocks:
+    def test_controllers_close_as_negative_feedback(self):
+        # x' = -x + 2 u1 + u2, y = 3 x; u1 = 0.5 (-y); u2 = 1 / (1 + s) of -y
+        ctrls = [
+            to_state_space(TransferFunction.constant(0.5)),
+            to_state_space(TransferFunction([1.0], [1.0, 1.0])),
+        ]
+        plant = (np.array([[-1.0]]), [np.array([[2.0]]), np.array([[1.0]])], np.array([[3.0]]))
+        A, B, Cu = loop_blocks(*plant, ctrls)
+        assert np.array_equal(A, [[-1.0, 0.0], [-3.0, -1.0]])
+        assert np.array_equal(B, [[2.0, 1.0], [0.0, 0.0]])
+        assert np.array_equal(Cu, [[-1.5, 0.0], [0.0, 1.0]])
+        assert np.array_equal(feedback_interconnect(*plant, ctrls), [[-4.0, 1.0], [-3.0, -1.0]])
 
 
 class TestClosedLoopModes:
