@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, channel as chan, pipeline, poddesign, simloop, sysid
+from . import analysis, channel as chan, pipeline, poddesign, simloop
 from ._csvfmt import format_rows
 from .config import (
     channel_config,
@@ -23,7 +23,7 @@ from .config import (
     plant_config,
     scenario_config,
 )
-from .delaymodel import DelaySurrogate, build_surrogate
+from .delaymodel import DelaySurrogate
 from .errors import (
     AnalysisError,
     ChannelError,
@@ -36,7 +36,7 @@ from .errors import (
     SimulationError,
     SysidError,
 )
-from .lti import TransferFunction, series, to_state_space
+from .lti import series, to_state_space
 from .refplant import build_reference_plant
 from .sysid import IdentifiedPlant
 
@@ -100,40 +100,6 @@ def _read_csv(path: Path, stage: str) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
 
 
-def _identified_from_dict(d: dict) -> IdentifiedPlant:
-    from .lti import mode_report
-
-    tf = TransferFunction(d["num"], d["den"])
-    modes = tuple(
-        mode_report(complex(m["eigenvalue_re"], m["eigenvalue_im"])) for m in d["modes"]
-    )
-    return IdentifiedPlant(
-        tf=tf,
-        fit_band_hz=tuple(d["fit_band_hz"]),
-        frf_fit_mag_err_db=d["frf_fit_mag_err_db"],
-        frf_fit_phase_err_deg=d["frf_fit_phase_err_deg"],
-        modes=modes,
-    )
-
-
-def _design_from_dict(d: dict) -> poddesign.CompensatorDesign:
-    return poddesign.CompensatorDesign(
-        T1_s=d["T1_s"], T2_s=d["T2_s"], T3_s=d["T3_s"], T4_s=d["T4_s"],
-        gain=d["gain"], washout_Tw_s=d["washout_Tw_s"],
-        limit_pu=d["limit_pu"], loop=d["loop"],
-    )
-
-
-def _surrogate_from_dict(d: dict) -> DelaySurrogate:
-    return DelaySurrogate(
-        theta_s=d["theta_s"],
-        pade=TransferFunction(d["num"], d["den"]),
-        order=tuple(d["order"]),
-        band_hz=tuple(d["band_hz"]),
-        max_phase_err_deg=d["max_phase_err_deg"],
-    )
-
-
 def cmd_plant_build(ctx: _Ctx) -> None:
     plant = build_reference_plant(plant_config(ctx.cfg))
     ctx.write_json(
@@ -168,13 +134,7 @@ def cmd_channel_fit(ctx: _Ctx) -> None:
         {"bin_edges": list(edges), "bin_probs": list(probs), "mean_s": dist.mean_s},
         seed=ctx.channel_seed,
     )
-    design = ctx.cfg["design"]
-    surrogate = build_surrogate(
-        dist.mean_s,
-        band_hz=tuple(design["band_hz"]),
-        max_phase_err_deg=design.get("max_phase_err_deg", 10.0),
-        max_order=design.get("max_pade_order", 8),
-    )
+    surrogate = pipeline.surrogate_for(ctx.cfg, dist.mean_s)
     ctx.write_json("delay_surrogate.json", surrogate.to_dict(), seed=ctx.channel_seed)
 
 
@@ -198,13 +158,13 @@ def _load_surrogate(ctx: _Ctx) -> DelaySurrogate:
     """The fitted surrogate of ``channel fit``, else the one the config implies."""
     surrogate_path = ctx.out / "delay_surrogate.json"
     if surrogate_path.exists():
-        return _surrogate_from_dict(json.loads(surrogate_path.read_text()))
+        return DelaySurrogate.from_dict(json.loads(surrogate_path.read_text()))
     return pipeline.design_surrogate(ctx.cfg)
 
 
 def cmd_design_run(ctx: _Ctx) -> None:
-    identified_p = _identified_from_dict(ctx.read_json("identified_p.json"))
-    identified_q = _identified_from_dict(ctx.read_json("identified_q.json"))
+    identified_p = IdentifiedPlant.from_dict(ctx.read_json("identified_p.json"))
+    identified_q = IdentifiedPlant.from_dict(ctx.read_json("identified_q.json"))
     surrogate = _load_surrogate(ctx)
     for tag, identified in (("p", identified_p), ("q", identified_q)):
         loop = "active" if tag == "p" else "reactive"
@@ -231,12 +191,12 @@ def cmd_design_run(ctx: _Ctx) -> None:
 
 
 def _load_design_stage(ctx: _Ctx):
-    identified_p = _identified_from_dict(ctx.read_json("identified_p.json"))
-    identified_q = _identified_from_dict(ctx.read_json("identified_q.json"))
+    identified_p = IdentifiedPlant.from_dict(ctx.read_json("identified_p.json"))
+    identified_q = IdentifiedPlant.from_dict(ctx.read_json("identified_q.json"))
     dp_dict = ctx.read_json("design_p.json")
     dq_dict = ctx.read_json("design_q.json")
-    design_p = _design_from_dict(dp_dict)
-    design_q = _design_from_dict(dq_dict)
+    design_p = poddesign.CompensatorDesign.from_dict(dp_dict)
+    design_q = poddesign.CompensatorDesign.from_dict(dq_dict)
     surrogate = _load_surrogate(ctx)
     modes_hz = tuple(w / (2.0 * math.pi) for w in dp_dict["mode_omegas_rad_s"])
     return identified_p, identified_q, design_p, design_q, surrogate, modes_hz

@@ -44,6 +44,16 @@ class DelaySurrogate:
             "den": list(self.pade.den),
         }
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "DelaySurrogate":
+        return cls(
+            theta_s=d["theta_s"],
+            pade=TransferFunction(d["num"], d["den"]),
+            order=tuple(d["order"]),
+            band_hz=tuple(d["band_hz"]),
+            max_phase_err_deg=d["max_phase_err_deg"],
+        )
+
 
 def expected_delay(dist: DelayDistribution) -> float:
     """Mean of the delay PDF over its support."""

@@ -20,6 +20,7 @@ __all__ = [
     "run_prbs_experiment",
     "identify_path",
     "identify_both",
+    "surrogate_for",
     "design_surrogate",
     "design_loop",
     "design_both",
@@ -72,16 +73,22 @@ def identify_both(cfg: dict, plant: PlantPair | None = None) -> tuple[Identified
     return tuple(out)
 
 
-def design_surrogate(cfg: dict) -> DelaySurrogate:
-    from .config import delay_distribution
-
+def surrogate_for(cfg: dict, mean_delay_s: float) -> DelaySurrogate:
+    """The Pade surrogate of a mean delay under the config's design settings."""
     design = cfg["design"]
     return build_surrogate(
-        expected_delay(delay_distribution(cfg)),
+        mean_delay_s,
         band_hz=tuple(design["band_hz"]),
         max_phase_err_deg=design.get("max_phase_err_deg", 10.0),
         max_order=design.get("max_pade_order", 8),
     )
+
+
+def design_surrogate(cfg: dict) -> DelaySurrogate:
+    """The surrogate of the mean delay of the config's channel model."""
+    from .config import delay_distribution
+
+    return surrogate_for(cfg, expected_delay(delay_distribution(cfg)))
 
 
 def design_loop(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -94,6 +94,11 @@ class CompensatorDesign:
             "gain": self.gain, "washout_Tw_s": self.washout_Tw_s,
             "limit_pu": self.limit_pu, "loop": self.loop,
         }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "CompensatorDesign":
+        """The design of ``d``; keys that are not fields (diagnostics) are ignored."""
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,18 @@ class IdentifiedPlant:
             ],
         }
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "IdentifiedPlant":
+        return cls(
+            tf=TransferFunction(d["num"], d["den"]),
+            fit_band_hz=tuple(d["fit_band_hz"]),
+            frf_fit_mag_err_db=d["frf_fit_mag_err_db"],
+            frf_fit_phase_err_deg=d["frf_fit_phase_err_deg"],
+            modes=tuple(
+                mode_report(complex(m["eigenvalue_re"], m["eigenvalue_im"])) for m in d["modes"]
+            ),
+        )
+
 
 def _poles_of(den_coeffs: np.ndarray) -> np.ndarray:
     return np.roots(den_coeffs[::-1])

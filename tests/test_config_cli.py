@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import podlab
-from podlab import cli
+from podlab import cli, pipeline
 from podlab.cli import main
 from podlab.config import (
     config_hash,
@@ -18,7 +18,10 @@ from podlab.config import (
     load_config,
     validate_config,
 )
+from podlab.delaymodel import DelaySurrogate, build_surrogate
 from podlab.errors import ConfigError
+from podlab.poddesign import CompensatorDesign
+from podlab.sysid import IdentifiedPlant
 
 
 class TestConfigValidation:
@@ -168,6 +171,46 @@ class TestCliPipeline:
         expect = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
         got = cli._read_csv(path, "earlier stage")
         assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
+def _round_trip(x):
+    return type(x).from_dict(json.loads(json.dumps(x.to_dict())))
+
+
+class TestArtifactRoundTrip:
+    """``from_dict`` inverts ``to_dict`` through JSON, for the pipeline's
+    objects and for the artifacts a CLI chain writes."""
+
+    def test_pipeline_objects(self, identified, surrogate, loop_designs):
+        objects = [*identified, surrogate, build_surrogate(0.0)]
+        objects += [ld.design for ld in loop_designs]
+        for x in objects:
+            assert _round_trip(x) == x
+
+    @pytest.mark.parametrize(
+        "name, cls",
+        [
+            ("identified_p.json", IdentifiedPlant),
+            ("identified_q.json", IdentifiedPlant),
+            ("design_p.json", CompensatorDesign),
+            ("design_q.json", CompensatorDesign),
+            ("delay_surrogate.json", DelaySurrogate),
+        ],
+    )
+    def test_cli_artifacts(self, pipeline_out, name, cls):
+        payload = json.loads((pipeline_out / name).read_text())
+        x = cls.from_dict(payload)
+        assert _round_trip(x) == x
+        # the artifact holds the object's fields as written, next to its
+        # manifest (and, for a design, its diagnostics)
+        d = x.to_dict()
+        assert {k: payload[k] for k in d} == d
+
+    def test_channel_fit_builds_the_pipeline_surrogate(self, workdir, pipeline_out):
+        _, _, cfg = workdir
+        mean_s = json.loads((pipeline_out / "delay_histogram.json").read_text())["mean_s"]
+        fitted = json.loads((pipeline_out / "delay_surrogate.json").read_text())
+        assert DelaySurrogate.from_dict(fitted) == pipeline.surrogate_for(cfg, mean_s)
 
 
 def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
