@@ -31,12 +31,13 @@ __all__ = [
     "open_loop",
     "controller_tf",
     "loop_blocks",
-    "feedback_interconnect",
     "closed_loop_modes",
     "closed_loop_modes_two",
     "delay_sweep",
     "bode_table",
 ]
+
+_SWEEP_DELAYS_S = (0.0, 0.15, 0.3, 0.6)
 
 
 @dataclass(frozen=True)
@@ -131,17 +132,6 @@ def loop_blocks(
     return A, B, Cu
 
 
-def feedback_interconnect(
-    plant_A: np.ndarray,
-    plant_Bs: list[np.ndarray],
-    plant_C: np.ndarray,
-    controllers: list[StateSpace],
-) -> np.ndarray:
-    """State matrix of the loop where each input i receives ctrl_i(-y)."""
-    A, B, Cu = loop_blocks(plant_A, plant_Bs, plant_C, controllers)
-    return A + B @ Cu
-
-
 def _match_targets(
     eigs: np.ndarray, target_freqs_hz: tuple[float, float]
 ) -> tuple[ModeReport, ModeReport]:
@@ -205,6 +195,30 @@ def _ctrl_ss(design: CompensatorDesign, surrogate_tf: TransferFunction, gain: fl
     return StateSpace(loop.A, loop.B, C, D)
 
 
+def _close_loops(
+    plant_A: np.ndarray,
+    plant_Bs: list[np.ndarray],
+    plant_C: np.ndarray,
+    controllers: list[StateSpace],
+    target_modes_hz: tuple[float, float],
+    label: str,
+    gain: float,
+) -> ClosedLoopResult:
+    """Eigenvalues of ``loop_blocks`` closed as ``A + B @ Cu``, and the two
+    target modes among them."""
+    A, B, Cu = loop_blocks(plant_A, plant_Bs, plant_C, controllers)
+    if A.shape[0] > 100:
+        raise AnalysisError(f"composed system order {A.shape[0]} exceeds 100")
+    eigs = eigen(A + B @ Cu)
+    return ClosedLoopResult(
+        label=label,
+        gain=gain,
+        eigenvalues=eigs,
+        target_modes=_match_targets(eigs, target_modes_hz),
+        stable=bool(np.all(eigs.real < 0)),
+    )
+
+
 def closed_loop_modes(
     plant_ss: StateSpace,
     design: CompensatorDesign,
@@ -219,17 +233,9 @@ def closed_loop_modes(
         raise AnalysisError("plant must be strictly proper for block feedback")
     d_tf = surrogate.pade if surrogate_tf is None else surrogate_tf
     ctrl = _ctrl_ss(design, d_tf, gain)
-    A_cl = feedback_interconnect(plant_ss.A, [plant_ss.B], plant_ss.C, [ctrl])
-    if A_cl.shape[0] > 100:
-        raise AnalysisError(f"composed system order {A_cl.shape[0]} exceeds 100")
-    eigs = eigen(A_cl)
-    targets = _match_targets(eigs, target_modes_hz)
-    return ClosedLoopResult(
-        label=label or f"gain={gain:g}",
-        gain=gain,
-        eigenvalues=eigs,
-        target_modes=targets,
-        stable=bool(np.all(eigs.real < 0)),
+    return _close_loops(
+        plant_ss.A, [plant_ss.B], plant_ss.C, [ctrl], target_modes_hz,
+        label or f"gain={gain:g}", gain,
     )
 
 
@@ -248,18 +254,9 @@ def closed_loop_modes_two(
     """Both power loops closed simultaneously on the shared-state plant."""
     ctrl_p = _ctrl_ss(design_p, surrogate.pade, design_p.gain * gain_scale)
     ctrl_q = _ctrl_ss(design_q, surrogate.pade, design_q.gain * gain_scale)
-    A_cl = feedback_interconnect(
-        plant_A, [plant_B_p, plant_B_q], plant_C, [ctrl_p, ctrl_q]
-    )
-    if A_cl.shape[0] > 100:
-        raise AnalysisError(f"composed system order {A_cl.shape[0]} exceeds 100")
-    eigs = eigen(A_cl)
-    return ClosedLoopResult(
-        label=label or "both-loops",
-        gain=gain_scale,
-        eigenvalues=eigs,
-        target_modes=_match_targets(eigs, target_modes_hz),
-        stable=bool(np.all(eigs.real < 0)),
+    return _close_loops(
+        plant_A, [plant_B_p, plant_B_q], plant_C, [ctrl_p, ctrl_q], target_modes_hz,
+        label or "both-loops", gain_scale,
     )
 
 
@@ -268,7 +265,6 @@ def delay_sweep(
     design: CompensatorDesign,
     surrogate: DelaySurrogate,
     target_modes_hz: tuple[float, float],
-    delays_s: tuple[float, ...] = (0.0, 0.15, 0.3, 0.6),
 ) -> EigenStudy:
     """Locus of the target modes over constant-delay cases.
 
@@ -278,7 +274,7 @@ def delay_sweep(
         plant_ss, design, surrogate, 0.0, target_modes_hz, label="baseline"
     )
     cases = []
-    for d in delays_s:
+    for d in _SWEEP_DELAYS_S:
         d_tf = (
             TransferFunction.constant(1.0)
             if d == 0.0

@@ -7,7 +7,7 @@ quantization, and the measurement pipeline used to characterise the channel
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "ChannelSchedule",
     "ChannelInstance",
     "require_sample_rate",
-    "transmit",
     "measure_campaign",
     "throughput_stats",
     "nyquist_limit",
@@ -46,6 +45,8 @@ class DelayDistribution:
     sigma: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in ("empirical-histogram", "uniform", "truncated-normal", "point-mass"):
+            raise ChannelError(f"unknown delay kind {self.kind!r}")
         if not (0 <= self.tau_min <= self.tau_max):
             raise ChannelError("require 0 <= tau_min <= tau_max")
         if self.kind == "empirical-histogram":
@@ -341,26 +342,6 @@ def require_sample_rate(sample_rate_hz: float, cfg: ChannelConfig) -> None:
             f"simulation rate {sample_rate_hz:g} Hz too low: require >= "
             f"{100.0 * cfg.rate_hz:g} Hz for rate_hz={cfg.rate_hz:g}"
         )
-
-
-def transmit(
-    inputs: np.ndarray,
-    sample_rate_hz: float,
-    cfg: ChannelConfig,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Pass a uniformly sampled signal through the channel.
-
-    Returns the receiver-side zero-order-hold trace on the same time grid.
-    """
-    require_sample_rate(sample_rate_hz, cfg)
-    u = np.asarray(inputs, dtype=float)
-    dt = 1.0 / sample_rate_hz
-    inst = ChannelInstance(cfg, duration_s=len(u) * dt, rng=rng)
-    out = np.empty_like(u)
-    for k in range(len(u)):
-        out[k] = inst.step(k * dt, u[k])
-    return out
 
 
 def measure_campaign(

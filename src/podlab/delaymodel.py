@@ -11,13 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DelayDistribution
 from .errors import DelayModelError
-from .lti import TransferFunction, eigen, to_state_space, unwrapped_phase_deg
+from .lti import TransferFunction, _response, eigen, to_state_space, unwrapped_phase_deg
 
 __all__ = [
     "DelaySurrogate",
-    "expected_delay",
     "pade_approx",
     "validate_surrogate",
     "build_surrogate",
@@ -53,11 +51,6 @@ class DelaySurrogate:
             band_hz=tuple(d["band_hz"]),
             max_phase_err_deg=d["max_phase_err_deg"],
         )
-
-
-def expected_delay(dist: DelayDistribution) -> float:
-    """Mean of the delay PDF over its support."""
-    return dist.mean_s
 
 
 def pade_approx(theta_s: float, order: int) -> TransferFunction:
@@ -96,16 +89,14 @@ def validate_surrogate(
 
 
 def build_surrogate(
-    dist_or_theta: DelayDistribution | float,
+    theta_s: float,
     band_hz: tuple[float, float] = (0.1, 2.0),
     max_phase_err_deg: float = 10.0,
     max_order: int = 8,
 ) -> DelaySurrogate:
-    """Escalate the Pade order until the phase criterion holds on the band."""
-    if isinstance(dist_or_theta, DelayDistribution):
-        theta = expected_delay(dist_or_theta)
-    else:
-        theta = float(dist_or_theta)
+    """Escalate the Pade order of e^{-s*theta_s} until the phase criterion
+    holds on the band."""
+    theta = float(theta_s)
     if theta == 0.0:
         return DelaySurrogate(0.0, TransferFunction.constant(1.0), (0, 0), tuple(band_hz), 0.0)
     last_err = math.inf
@@ -124,8 +115,7 @@ def build_surrogate(
 
 def _check_surrogate(tf: TransferFunction, band_hz: tuple[float, float]) -> None:
     freqs = np.geomspace(band_hz[0], band_hz[1], _VALIDATION_POINTS)
-    s = 2j * np.pi * freqs
-    mags = np.abs([tf(v) for v in s])
+    mags = np.abs(_response(tf, freqs))
     if np.any(mags < 0.99) or np.any(mags > 1.01):
         raise DelayModelError("Pade surrogate deviates from all-pass by more than 1%")
     poles = eigen(to_state_space(tf).A)

@@ -7,7 +7,7 @@ simulation is the exact zero-order-hold stepping in ``_sim``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,9 +18,7 @@ from .errors import LtiError
 __all__ = [
     "TransferFunction",
     "StateSpace",
-    "FrequencyResponsePoint",
     "ModeReport",
-    "freq_response",
     "series",
     "to_state_space",
     "eigen",
@@ -118,28 +116,6 @@ class StateSpace:
     def order(self) -> int:
         return self.A.shape[0]
 
-    def response(self, s: complex) -> np.ndarray:
-        """Transfer matrix C (sI - A)^-1 B + D at a single complex point."""
-        n = self.order
-        if n == 0:
-            return self.D.astype(complex)
-        sol = np.linalg.solve(s * np.eye(n) - self.A, self.B)
-        return self.C @ sol + self.D
-
-
-@dataclass(frozen=True)
-class FrequencyResponsePoint:
-    freq_hz: float
-    value: complex
-
-    def __post_init__(self):
-        if not self.freq_hz > 0:
-            raise LtiError(f"frequency must be positive, got {self.freq_hz}")
-
-    @property
-    def mag_db(self) -> float:
-        return 20.0 * math.log10(abs(self.value))
-
 
 @dataclass(frozen=True)
 class ModeReport:
@@ -170,15 +146,6 @@ def _response(tf: TransferFunction, freqs_hz: Sequence[float] | np.ndarray) -> n
     if on_axis.any():
         raise LtiError(f"pole on the imaginary axis at {f[on_axis][0]} Hz")
     return _polyval(tf.num, s) / den
-
-
-def freq_response(tf: TransferFunction, freqs_hz: Sequence[float]) -> list[FrequencyResponsePoint]:
-    """Evaluate tf(j 2 pi f) at each frequency."""
-    f = np.asarray(freqs_hz, dtype=float)
-    return [
-        FrequencyResponsePoint(freq_hz=fi, value=v)
-        for fi, v in zip(f.tolist(), _response(tf, f).tolist())
-    ]
 
 
 def series(a: TransferFunction, b: TransferFunction) -> TransferFunction:

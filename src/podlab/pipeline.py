@@ -2,16 +2,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import poddesign, sysid
 from ._sim import zoh_lsim
-from .channel import ChannelConfig
-from .config import channel_config, plant_config, prbs_config, scenario_config
-from .delaymodel import DelaySurrogate, build_surrogate, expected_delay
-from .errors import SysidError
+from .config import delay_distribution, plant_config, prbs_config
+from .delaymodel import DelaySurrogate, build_surrogate
+from .lti import to_state_space
 from .refplant import PlantPair, build_reference_plant
 from .sysid import IdentifiedPlant
 
@@ -59,8 +58,8 @@ def identify_path(cfg: dict, u: np.ndarray, y: np.ndarray, fs: float) -> Identif
         u = u[period_samples:]
         y = y[period_samples:]
     nperseg = min(period_samples, len(u) // 2)
-    frf = sysid.estimate_frf(u, y, fs, band, nperseg=nperseg, window="boxcar")
-    return sysid.fit_rational(frf, order=ident["fit_order"])
+    freqs, H = sysid.estimate_frf(u, y, fs, band, nperseg=nperseg, window="boxcar")
+    return sysid.fit_rational(freqs, H, order=ident["fit_order"])
 
 
 def identify_both(cfg: dict, plant: PlantPair | None = None) -> tuple[IdentifiedPlant, IdentifiedPlant]:
@@ -86,9 +85,7 @@ def surrogate_for(cfg: dict, mean_delay_s: float) -> DelaySurrogate:
 
 def design_surrogate(cfg: dict) -> DelaySurrogate:
     """The surrogate of the mean delay of the config's channel model."""
-    from .config import delay_distribution
-
-    return surrogate_for(cfg, expected_delay(delay_distribution(cfg)))
+    return surrogate_for(cfg, delay_distribution(cfg).mean_s)
 
 
 def design_loop(
@@ -112,15 +109,11 @@ def design_loop(
     )
     grid_cfg = design_cfg["gain_grid"]
     K_grid = np.geomspace(grid_cfg["lo"], grid_cfg["hi"], grid_cfg["n"])
-    from .lti import to_state_space
-
     target_hz = tuple(w / (2.0 * math.pi) for w in modes)
     gain = poddesign.select_gain(
         to_state_space(identified.tf), design, surrogate, target_hz, K_grid
     )
-    import dataclasses
-
-    design = dataclasses.replace(design, gain=gain)
+    design = replace(design, gain=gain)
     return LoopDesign(design=design, context=ctx, diagnostics=diag)
 
 

@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .channel import nyquist_limit
 from .delaymodel import DelaySurrogate
 from .errors import AnalysisError, DesignError, InfeasibleOperatingPointError, NyquistLimitError
-from .lti import StateSpace, TransferFunction, phase_at, series, to_state_space
+from .lti import StateSpace, TransferFunction, phase_at
 from .sysid import IdentifiedPlant
 
 __all__ = [
@@ -37,6 +37,10 @@ __all__ = [
 
 T_MIN = 0.01
 T_MAX = 10.0
+_DOGLEG_TOL = 1e-10
+_RADIUS_FLOOR = 1e-12
+_JACOBIAN_REL_STEP = 1e-6
+_N_STARTS = 8
 
 
 @dataclass(frozen=True)
@@ -192,10 +196,10 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _jacobian(fun, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
+def _jacobian(fun, x: np.ndarray) -> np.ndarray:
     cols = []
     for j, xj in enumerate(x.tolist()):
-        h = rel_step * max(1.0, abs(xj))
+        h = _JACOBIAN_REL_STEP * max(1.0, abs(xj))
         xp = x.copy(); xp[j] += h
         xm = x.copy(); xm[j] -= h
         cols.append((np.atleast_1d(fun(xp)) - np.atleast_1d(fun(xm))) / (2.0 * h))
@@ -207,13 +211,7 @@ def _jacobian(fun, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
     return J
 
 
-def dogleg_solve(
-    fun,
-    x0,
-    max_iter: int = 200,
-    tol: float = 1e-10,
-    radius_floor: float = 1e-12,
-) -> DoglegResult:
+def dogleg_solve(fun, x0, max_iter: int = 200) -> DoglegResult:
     """Powell dogleg trust-region solve of fun(x) = 0 in the least-squares sense.
 
     Central-difference Jacobian; returns the best-found point with a
@@ -227,7 +225,7 @@ def dogleg_solve(
     J = None
     while it < max_iter:
         it += 1
-        if fnorm <= tol:
+        if fnorm <= _DOGLEG_TOL:
             return DoglegResult(x, fnorm, True, it - 1)
         if J is None:
             # the linear model at x; a rejected step keeps x and so reuses it
@@ -268,9 +266,9 @@ def dogleg_solve(
             radius = min(2.0 * radius, 1e6)
         elif rho > 0.75:
             radius = max(radius, 2.0 * pnorm)
-        if radius < radius_floor:
+        if radius < _RADIUS_FLOOR:
             break
-    return DoglegResult(x, fnorm, fnorm <= tol, it)
+    return DoglegResult(x, fnorm, fnorm <= _DOGLEG_TOL, it)
 
 
 def washout(Tw_s: float) -> TransferFunction:
@@ -321,8 +319,6 @@ def design_compensator(
     loop: str = "active",
     washout_Tw_s: float = 5.0,
     limit_pu: float = 0.0,
-    n_starts: int = 8,
-    tol: float = 1e-10,
 ) -> tuple[CompensatorDesign, DesignContext, DesignDiagnostics]:
     """Solve for the lead-lag time constants that zero the open-loop phases.
 
@@ -352,13 +348,13 @@ def design_compensator(
     # run out of the [T_MIN, T_MAX] box before reaching a zero
     starts = [
         (v, scale)
-        for v in np.geomspace(0.05, 5.0, n_starts)
+        for v in np.geomspace(0.05, 5.0, _N_STARTS)
         for scale in (1.0, 0.25, 4.0)
     ]
     results = []
     for v, scale in starts:
         x0 = np.log(np.array([v, v / 3.0, v * scale, v * scale / 3.0]))
-        results.append(dogleg_solve(lambda x: residual_F(x, ctx), x0, tol=tol))
+        results.append(dogleg_solve(lambda x: residual_F(x, ctx), x0))
     norms = tuple(r.fnorm for r in results)
     best_norm = min(norms)
     if not any(r.converged for r in results):

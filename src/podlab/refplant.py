@@ -7,7 +7,7 @@ differ in residue phases, plus deterministic disturbance scenarios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -312,9 +312,8 @@ def run_closed_loop(
     frequency deviation; the limiter acts on the central side before
     transmission.
     """
-    _check_grid(duration_s, dt, channel_cfg)
+    t_grid = _time_grid(duration_s, dt, channel_cfg)
     model = _loop_model(plant, design_p, design_q, scenario, dt)
-    t_grid = np.arange(int(round(duration_s / dt))) * dt
     n = len(t_grid)
     if pod_on:
         channels = _channels(channel_cfg, duration_s, seed, participation)
@@ -345,13 +344,18 @@ def run_closed_loop(
     )
 
 
-def _check_grid(duration_s: float, dt: float, channel_cfg: ChannelConfig) -> None:
-    if dt > 1e-3:
-        raise SimulationError(f"simulation step {dt:g} s exceeds the 1 ms limit")
-    if duration_s <= 0:
+def _time_grid(duration_s: float, dt: float, channel_cfg: ChannelConfig) -> np.ndarray:
+    """The simulation instants k * dt over the duration, checked."""
+    if not 0 < dt <= 1e-3:
+        raise SimulationError(f"simulation step {dt:g} s outside (0, 1 ms]")
+    if not duration_s > 0:
         raise SimulationError("duration must be positive")
+    n = int(round(duration_s / dt))
+    if n < 1:
+        raise SimulationError(f"duration {duration_s:g} s holds no step of {dt:g} s")
     # POD off too: an on/off comparison runs both cases on one grid
     require_sample_rate(1.0 / dt, channel_cfg)
+    return np.arange(n) * dt
 
 
 def damping_metric(trace: SimTrace, window: tuple[float, float]) -> float:
@@ -393,9 +397,8 @@ def ensemble(
     """
     if n_runs < 1:
         raise SimulationError("n_runs must be >= 1")
-    _check_grid(duration_s, dt, channel_cfg)
+    t_grid = _time_grid(duration_s, dt, channel_cfg)
     model = _loop_model(plant, design_p, design_q, scenario, dt)
-    t_grid = np.arange(int(round(duration_s / dt))) * dt
     seeds = [None] + [base_seed + i for i in range(n_runs)]  # None: the baseline
     energies = []
     for b in range(0, len(seeds), _BLOCK_RUNS):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SysidError
-from .lti import FrequencyResponsePoint, ModeReport, TransferFunction, mode_report
+from .lti import ModeReport, TransferFunction, _response, mode_report
 
 __all__ = [
     "PrbsConfig",
@@ -41,6 +41,10 @@ _PRIMITIVE_TAPS = {
     15: (15, 14),
     16: (16, 15, 13, 4),
 }
+
+_COHERENCE_LIMIT = 0.6
+_FIT_ITERATIONS = 20
+_FIT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -130,12 +134,12 @@ def estimate_frf(
     band_hz: tuple[float, float],
     nperseg: int | None = None,
     window: str = "hann",
-    coherence_limit: float = 0.6,
-) -> list[FrequencyResponsePoint]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Welch cross-spectral FRF estimate H = S_uy / S_uu on the band.
 
-    Uses 50%-overlap segments; raises when the coherence indicates
-    insufficient excitation on more than 20% of the band points.
+    Returns (freqs_hz, H).  Uses 50%-overlap segments; raises when the
+    coherence indicates insufficient excitation on more than 20% of the band
+    points.
     """
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -154,15 +158,13 @@ def estimate_frf(
     mask = (f >= lo) & (f <= hi) & (s_uu > 0)
     if not np.any(mask):
         raise SysidError("no spectral points inside the band")
-    n_low = int(np.sum(coh[mask] < coherence_limit))
+    n_low = int(np.sum(coh[mask] < _COHERENCE_LIMIT))
     if n_low > 0.2 * int(np.sum(mask)):
         raise SysidError(
-            f"low excitation: coherence < {coherence_limit} on {n_low} of "
+            f"low excitation: coherence < {_COHERENCE_LIMIT} on {n_low} of "
             f"{int(np.sum(mask))} band points"
         )
-    H = s_uy[mask] / s_uu[mask]
-    return [FrequencyResponsePoint(freq_hz=float(fk), value=complex(hk))
-            for fk, hk in zip(f[mask], H)]
+    return f[mask], s_uy[mask] / s_uu[mask]
 
 
 @dataclass(frozen=True)
@@ -214,13 +216,9 @@ def _den_from_poles(poles: np.ndarray) -> np.ndarray:
     return asc / asc[0]
 
 
-def fit_rational(
-    frf: list[FrequencyResponsePoint],
-    order: int = 6,
-    n_iter: int = 20,
-    rel_tol: float = 1e-8,
-) -> IdentifiedPlant:
-    """Sanathanan-Koerner iterated weighted least-squares rational fit.
+def fit_rational(freqs_hz: np.ndarray, H: np.ndarray, order: int = 6) -> IdentifiedPlant:
+    """Sanathanan-Koerner iterated weighted least-squares rational fit of the
+    response ``H`` sampled at ``freqs_hz``.
 
     Fits a strictly proper model (numerator degree order-1) so that the
     resulting plant can always be closed in state-space block form.  Unstable
@@ -228,11 +226,14 @@ def fit_rational(
     """
     if order < 1:
         raise SysidError("order must be >= 1")
-    if len(frf) < 4 * order:
+    if len(freqs_hz) != len(H):
+        raise SysidError(f"{len(freqs_hz)} frequencies for {len(H)} response values")
+    if len(freqs_hz) < 4 * order:
         raise SysidError(f"need at least {4 * order} points for order {order}")
-    freqs = np.array([p.freq_hz for p in frf])
-    H = np.array([p.value for p in frf])
-    omega = 2.0 * math.pi * freqs
+    bad = ~(np.isfinite(freqs_hz) & (freqs_hz > 0))
+    if bad.any():
+        raise SysidError(f"frequency must be finite and positive, got {freqs_hz[bad][0]}")
+    omega = 2.0 * math.pi * freqs_hz
     omega0 = math.exp(float(np.mean(np.log(omega))))  # frequency scaling
     s_t = 1j * omega / omega0
     V = np.vander(s_t, order + 1, increasing=True)  # powers 0..order
@@ -241,7 +242,7 @@ def fit_rational(
     weight = np.ones(len(H))
     coef = None
     prev = None
-    for _ in range(n_iter):
+    for _ in range(_FIT_ITERATIONS):
         rows = np.hstack([
             V[:, :n_b],
             -(H[:, None] * V[:, 1 : order + 1]),
@@ -254,7 +255,7 @@ def fit_rational(
             raise SysidError("degenerate data: singular normal equations in rational fit")
         den_t = np.concatenate([[1.0], coef[n_b:]])
         weight = 1.0 / np.maximum(np.abs(V[:, : order + 1] @ den_t), 1e-12)
-        if prev is not None and np.linalg.norm(coef - prev) <= rel_tol * np.linalg.norm(coef):
+        if prev is not None and np.linalg.norm(coef - prev) <= _FIT_TOL * np.linalg.norm(coef):
             break
         prev = coef
 
@@ -279,7 +280,7 @@ def fit_rational(
         num = num_t * scale[:n_b]
 
     tf = TransferFunction(num, den)
-    fit = np.array([tf(sv) for sv in 1j * omega])
+    fit = _response(tf, freqs_hz)
     mag_err = float(np.max(np.abs(20.0 * np.log10(np.abs(fit)) - 20.0 * np.log10(np.abs(H)))))
     dphi = np.angle(fit) - np.angle(H)
     dphi = np.degrees((dphi + np.pi) % (2.0 * np.pi) - np.pi)
@@ -289,7 +290,7 @@ def fit_rational(
     )
     return IdentifiedPlant(
         tf=tf,
-        fit_band_hz=(float(freqs.min()), float(freqs.max())),
+        fit_band_hz=(float(freqs_hz.min()), float(freqs_hz.max())),
         frf_fit_mag_err_db=mag_err,
         frf_fit_phase_err_deg=phase_err,
         modes=modes,

@@ -13,7 +13,6 @@ from podlab.analysis import (
     closed_loop_modes_two,
     controller_tf,
     delay_sweep,
-    feedback_interconnect,
     loop_blocks,
     open_loop,
 )
@@ -21,6 +20,12 @@ from podlab.delaymodel import pade_approx
 from podlab.errors import AnalysisError
 from podlab.lti import StateSpace, TransferFunction, eigen, series, to_state_space
 from podlab.poddesign import leadlag_tf, washout
+
+
+def _closed_A(plant_A, plant_Bs, plant_C, controllers):
+    """State matrix of the loop where each input i receives ctrl_i(-y)."""
+    A, B, Cu = loop_blocks(plant_A, plant_Bs, plant_C, controllers)
+    return A + B @ Cu
 
 
 class TestOpenLoop:
@@ -69,7 +74,7 @@ class TestLoopBlocks:
         assert np.array_equal(A, [[-1.0, 0.0], [-3.0, -1.0]])
         assert np.array_equal(B, [[2.0, 1.0], [0.0, 0.0]])
         assert np.array_equal(Cu, [[-1.5, 0.0], [0.0, 1.0]])
-        assert np.array_equal(feedback_interconnect(*plant, ctrls), [[-4.0, 1.0], [-3.0, -1.0]])
+        assert np.array_equal(A + B @ Cu, [[-4.0, 1.0], [-3.0, -1.0]])
 
 
 class TestClosedLoopModes:
@@ -270,7 +275,7 @@ class TestMemoisedLoop:
             cases += [(ld.design.gain, d_tf) for d_tf in delays]
             for gain, d_tf in cases:
                 ctrl = _hand_built_ctrl(ld.design, d_tf, gain)
-                ref = eigen(feedback_interconnect(ss.A, [ss.B], ss.C, [ctrl]))
+                ref = eigen(_closed_A(ss.A, [ss.B], ss.C, [ctrl]))
                 try:
                     got = closed_loop_modes(
                         ss, ld.design, surrogate, gain, modes_hz, surrogate_tf=d_tf
@@ -280,7 +285,7 @@ class TestMemoisedLoop:
                     with pytest.raises(AnalysisError):
                         _match_targets(ref, modes_hz)
                     ctrl = _ctrl_ss(ld.design, d_tf, gain)
-                    got = eigen(feedback_interconnect(ss.A, [ss.B], ss.C, [ctrl]))
+                    got = eigen(_closed_A(ss.A, [ss.B], ss.C, [ctrl]))
                 assert got.tobytes() == ref.tobytes()
 
     def test_two_loop_eigenvalues_match_hand_built_assembly(self, plant, surrogate, loop_designs):
@@ -291,7 +296,7 @@ class TestMemoisedLoop:
                 gain_scale=scale,
             ).eigenvalues
             ctrls = [_hand_built_ctrl(d, surrogate.pade, d.gain * scale) for d in (dp, dq)]
-            ref = eigen(feedback_interconnect(plant.A, [plant.B_p, plant.B_q], plant.C, ctrls))
+            ref = eigen(_closed_A(plant.A, [plant.B_p, plant.B_q], plant.C, ctrls))
             assert got.tobytes() == ref.tobytes()
 
     def test_designs_with_other_time_constants_get_their_own_loop(self, surrogate, loop_designs):

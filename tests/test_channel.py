@@ -14,10 +14,10 @@ from podlab.channel import (
     default_delay_distribution,
     measure_campaign,
     nyquist_limit,
+    require_sample_rate,
     sample_delay,
     sample_delays,
     throughput_stats,
-    transmit,
 )
 from podlab.errors import ChannelError
 
@@ -27,6 +27,14 @@ DELAY_KINDS = (
     DelayDistribution.truncated_normal(0.3, 0.075, 0.05, 1.5),
     DelayDistribution.point_mass(0.3),
 )
+
+
+def _transmit(u: np.ndarray, sample_rate_hz: float, cfg: ChannelConfig) -> np.ndarray:
+    """The receiver-side hold trace of ``u`` sent through one channel
+    instance, stepped once per sample."""
+    dt = 1.0 / sample_rate_hz
+    inst = ChannelInstance(cfg, duration_s=len(u) * dt)
+    return np.array([inst.step(k * dt, v) for k, v in enumerate(u)])
 
 
 def _scalar_draw(dist, rng):
@@ -78,6 +86,10 @@ class TestDelayDistribution:
         rng = np.random.default_rng(3)
         samples = [sample_delay(d, rng) for _ in range(1000)]
         assert min(samples) >= 0.1 and max(samples) <= 0.6
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ChannelError, match="unknown delay kind 'bogus'"):
+            DelayDistribution(kind="bogus", tau_min=0.0, tau_max=1.0, mean_s=0.5)
 
     def test_bad_histogram_rejected(self):
         with pytest.raises(ChannelError):
@@ -193,14 +205,14 @@ class TestTransmit:
         fs = 5000.0
         t = np.arange(int(5 * fs)) / fs
         u = np.sin(2 * np.pi * 0.5 * t)
-        y = transmit(u, fs, cfg)
+        y = _transmit(u, fs, cfg)
         # received signal equals input to within one sampling/emission interval
         err = np.max(np.abs(y[int(fs):] - u[int(fs):]))
         assert err < 2 * np.pi * 0.5 * (1.2 / 50.0 + 1.0 / fs)
 
     def test_constant_input(self):
         cfg = ChannelConfig(delay=DelayDistribution.point_mass(0.1), rate_hz=5.0, seed=6)
-        y = transmit(np.full(2000, 3.3), 1000.0, cfg)
+        y = _transmit(np.full(2000, 3.3), 1000.0, cfg)
         assert np.all(np.isin(y, [0.0, 3.3]))
         assert np.all(y[500:] == 3.3)
 
@@ -210,7 +222,7 @@ class TestTransmit:
         fs = 3500.0
         t = np.arange(int(200 * fs)) / fs
         u = np.sin(2 * np.pi * 0.5 * t)
-        y = transmit(u, fs, cfg)
+        y = _transmit(u, fs, cfg)
         # restrict to steady portion and scan lags around the expected delay
         lags = np.arange(0, int(0.8 * fs))
         # corr[k] = dot(y[k:], u[:len(u) - k]), by one zero-padded FFT
@@ -222,13 +234,13 @@ class TestTransmit:
     def test_rate_guard(self):
         cfg = ChannelConfig(delay=DelayDistribution.point_mass(0.1), rate_hz=3.5, seed=0)
         with pytest.raises(ChannelError, match="350"):
-            transmit(np.zeros(100), 100.0, cfg)
+            require_sample_rate(100.0, cfg)
 
     def test_determinism(self):
         cfg = ChannelConfig(delay=default_delay_distribution(0.3), rate_hz=3.5, seed=42)
         u = np.sin(np.arange(20_000) * 0.001)
-        y1 = transmit(u, 1000.0, cfg)
-        y2 = transmit(u, 1000.0, cfg)
+        y1 = _transmit(u, 1000.0, cfg)
+        y2 = _transmit(u, 1000.0, cfg)
         assert np.array_equal(y1, y2)
 
     def test_causality_and_monotone_application(self):
@@ -348,6 +360,6 @@ class TestConfigValidation:
             delay=DelayDistribution.point_mass(0.0), rate_hz=5.0, seed=4,
             quantization_step=1e-3,
         )
-        y = transmit(np.full(5000, 0.12345), 1000.0, cfg)
+        y = _transmit(np.full(5000, 0.12345), 1000.0, cfg)
         applied = y[np.nonzero(y)]
         assert np.allclose(applied, 0.123)

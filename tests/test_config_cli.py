@@ -273,6 +273,20 @@ class TestCliErrors:
         assert rc == 1
         assert "NY-LIMIT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", [["sim", "run"], ["sim", "ensemble"]])
+    def test_zero_step_reported(self, workdir, pipeline_out, tmp_path, capsys, stage):
+        _, _, cfg = workdir
+        bad = json.loads(json.dumps(cfg))
+        bad["simulation"]["dt_s"] = 0
+        bad_path = tmp_path / "zero_dt.json"
+        bad_path.write_text(json.dumps(bad))
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        rc = main(stage + ["--config", str(bad_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("simloop: simulation step 0 s outside (0, 1 ms]")
+
     def test_podlab_out_env_var(self, workdir, tmp_path, monkeypatch):
         _, cfg_path, _ = workdir
         target = tmp_path / "env_out"

@@ -6,7 +6,6 @@ import pytest
 from podlab.channel import DelayDistribution, default_delay_distribution
 from podlab.delaymodel import (
     build_surrogate,
-    expected_delay,
     pade_approx,
     validate_surrogate,
 )
@@ -16,13 +15,13 @@ from podlab.lti import TransferFunction, eigen, to_state_space, unwrapped_phase_
 
 class TestExpectedDelay:
     def test_uniform(self):
-        assert expected_delay(DelayDistribution.uniform(0.2, 0.4)) == pytest.approx(0.3)
+        assert DelayDistribution.uniform(0.2, 0.4).mean_s == pytest.approx(0.3)
 
     def test_point_mass(self):
-        assert expected_delay(DelayDistribution.point_mass(0.5)) == 0.5
+        assert DelayDistribution.point_mass(0.5).mean_s == 0.5
 
     def test_default_histogram(self):
-        assert expected_delay(default_delay_distribution(0.3)) == pytest.approx(0.3, abs=1e-9)
+        assert default_delay_distribution(0.3).mean_s == pytest.approx(0.3, abs=1e-9)
 
 
 class TestPadeApprox:
@@ -94,7 +93,7 @@ class TestBuildSurrogate:
         assert sur.theta_s == 0.3
 
     def test_from_distribution(self):
-        sur = build_surrogate(default_delay_distribution(0.3))
+        sur = build_surrogate(default_delay_distribution(0.3).mean_s)
         assert sur.theta_s == pytest.approx(0.3, abs=1e-9)
 
     def test_zero_theta(self):

@@ -256,6 +256,24 @@ class TestRunClosedLoop:
         with pytest.raises(SimulationError, match="1 ms"):
             run_closed_loop(plant, dp, dq, chan, scenario, seed=0, dt=5e-3)
 
+    @pytest.mark.parametrize(
+        "dt, duration_s, match",
+        [
+            (0.0, 2.0, "step 0 s outside"),
+            (-1e-3, 2.0, "step -0.001 s outside"),
+            (math.nan, 2.0, "step nan s outside"),
+            (1e-3, 4e-4, "holds no step"),
+        ],
+    )
+    def test_grid_without_steps_rejected(
+        self, plant, designs, chan, scenario, dt, duration_s, match
+    ):
+        dp, dq = designs
+        with pytest.raises(SimulationError, match=match):
+            run_closed_loop(plant, dp, dq, chan, scenario, seed=0, duration_s=duration_s, dt=dt)
+        with pytest.raises(SimulationError, match=match):
+            ensemble(2, 0, plant, dp, dq, chan, scenario, (0.0, 1.0), duration_s=duration_s, dt=dt)
+
     @pytest.mark.parametrize("pod_on", [True, False])
     def test_channel_faster_than_the_grid_rejected(self, plant, designs, scenario, pod_on):
         dp, dq = designs

@@ -110,31 +110,31 @@ class TestEstimateFrf:
 
     def test_static_gain(self):
         u = self._prbs()
-        frf = estimate_frf(u, 2.0 * u, 100.0, (0.1, 2.0))
-        for p in frf:
-            assert abs(p.value) == pytest.approx(2.0, abs=0.01)
-            assert math.degrees(np.angle(p.value)) == pytest.approx(0.0, abs=1.0)
+        _, H = estimate_frf(u, 2.0 * u, 100.0, (0.1, 2.0))
+        for h in H:
+            assert abs(h) == pytest.approx(2.0, abs=0.01)
+            assert math.degrees(np.angle(h)) == pytest.approx(0.0, abs=1.0)
 
     def test_one_sample_delay_phase_slope(self):
         fs = 100.0
         u = self._prbs(fs)
         y = np.concatenate([[0.0], u[:-1]])
-        frf = estimate_frf(u, y, fs, (0.1, 2.0))
-        for p in frf:
-            expect = -360.0 * p.freq_hz / fs
-            assert math.degrees(np.angle(p.value)) == pytest.approx(expect, abs=0.5)
+        freqs, H = estimate_frf(u, y, fs, (0.1, 2.0))
+        for f, h in zip(freqs, H):
+            expect = -360.0 * f / fs
+            assert math.degrees(np.angle(h)) == pytest.approx(expect, abs=0.5)
 
     def test_first_order_system(self):
         fs = 100.0
         u = self._prbs(fs)
         ss = to_state_space(TransferFunction([1.0], [1.0, 1.0]))
         y = zoh_lsim(ss, u, 1.0 / fs)
-        frf = estimate_frf(u, y, fs, (0.1, 2.0))
-        for p in frf:
-            s = 2j * math.pi * p.freq_hz
+        freqs, H = estimate_frf(u, y, fs, (0.1, 2.0))
+        for f, h in zip(freqs, H):
+            s = 2j * math.pi * f
             exact = 1.0 / (1.0 + s)
-            assert 20 * math.log10(abs(p.value) / abs(exact)) == pytest.approx(0.0, abs=1.0)
-            dphi = math.degrees(np.angle(p.value / exact))
+            assert 20 * math.log10(abs(h) / abs(exact)) == pytest.approx(0.0, abs=1.0)
+            dphi = math.degrees(np.angle(h / exact))
             assert dphi == pytest.approx(0.0, abs=5.0)
 
     def test_length_mismatch(self):
@@ -171,11 +171,7 @@ class TestEstimateFrf:
 
 class TestFitRational:
     def _sample(self, tf, freqs):
-        from podlab.lti import FrequencyResponsePoint
-
-        return [
-            FrequencyResponsePoint(freq_hz=f, value=tf(2j * math.pi * f)) for f in freqs
-        ]
+        return freqs, np.array([tf(2j * math.pi * f) for f in freqs])
 
     def test_exact_recovery_fourth_order(self):
         poles = [
@@ -187,7 +183,7 @@ class TestFitRational:
         num = [1.0, 0.2, 0.05]
         tf = TransferFunction(num, den)
         freqs = np.geomspace(0.05, 3.0, 60)
-        ident = fit_rational(self._sample(tf, freqs), order=4)
+        ident = fit_rational(*self._sample(tf, freqs), order=4)
         for f in freqs:
             s = 2j * math.pi * f
             assert abs(ident.tf(s) - tf(s)) <= 1e-6 * abs(tf(s))
@@ -196,24 +192,33 @@ class TestFitRational:
         # order-2 fit of a two-mode-pair plant cannot follow both resonances
         idp, _ = identified
         freqs = np.geomspace(0.1, 2.0, 60)
-        pts = self._sample(idp.tf, freqs)
-        low = fit_rational(pts, order=2)
+        low = fit_rational(*self._sample(idp.tf, freqs), order=2)
         assert low.frf_fit_mag_err_db > 3.0 or low.frf_fit_phase_err_deg > 15.0
 
     def test_unstable_poles_reflected(self):
         unstable = TransferFunction([1.0], [-1.0, 1.0])  # pole at +1
         freqs = np.geomspace(0.05, 3.0, 40)
-        pts = self._sample(unstable, freqs)
         with pytest.warns(UserWarning, match="reflected"):
-            ident = fit_rational(pts, order=1)
+            ident = fit_rational(*self._sample(unstable, freqs), order=1)
         poles = np.roots(np.asarray(ident.tf.den)[::-1])
         assert np.all(poles.real < 0)
 
     def test_too_few_points(self):
         tf = TransferFunction([1.0], [1.0, 1.0])
-        pts = self._sample(tf, np.geomspace(0.1, 1.0, 10))
         with pytest.raises(SysidError, match="points"):
-            fit_rational(pts, order=4)
+            fit_rational(*self._sample(tf, np.geomspace(0.1, 1.0, 10)), order=4)
+
+    def test_unequal_lengths_rejected(self):
+        freqs, H = self._sample(TransferFunction([1.0], [1.0, 1.0]), np.geomspace(0.1, 1.0, 20))
+        with pytest.raises(SysidError, match="20 frequencies for 19 response values"):
+            fit_rational(freqs, H[:-1], order=2)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
+    def test_bad_frequency_rejected(self, bad):
+        freqs, H = self._sample(TransferFunction([1.0], [1.0, 1.0]), np.geomspace(0.1, 1.0, 20))
+        freqs[3] = bad
+        with pytest.raises(SysidError, match="frequency must be finite and positive"):
+            fit_rational(freqs, H, order=2)
 
     def test_default_plant_modes_within_2pct(self, identified, plant):
         for ident in identified:
