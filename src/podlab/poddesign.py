@@ -41,6 +41,9 @@ _DOGLEG_TOL = 1e-10
 _RADIUS_FLOOR = 1e-12
 _JACOBIAN_REL_STEP = 1e-6
 _N_STARTS = 8
+# the clamp box as 0-d arrays: a Python float bound is converted on every call
+_T_MIN_0D = np.array(T_MIN)
+_T_MAX_0D = np.array(T_MAX)
 
 
 @dataclass(frozen=True)
@@ -164,23 +167,36 @@ class DesignContext:
 def residual_F(x: np.ndarray, ctx: DesignContext) -> np.ndarray:
     """Normalized two-mode phase residuals.
 
-    ``x`` carries the logarithms of T1..T4; time constants are clamped to
-    [T_MIN, T_MAX] inside.  Each mode's phase error is divided by the
-    magnitude of the other mode's fixed open-loop phase; when a denominator
-    falls under 1 degree the residuals fall back to the unnormalized form.
+    ``x`` carries the logarithms of T1..T4, shape ``(4,)`` for one point or
+    ``(4, k)`` for k points, one per column; the result is ``(2,)`` or
+    ``(2, k)``.  Time constants are clamped to [T_MIN, T_MAX] inside.  Each
+    mode's phase error is divided by the magnitude of the other mode's fixed
+    open-loop phase; when a denominator falls under 1 degree the residuals
+    fall back to the unnormalized form.
     """
-    # np.exp, not math.exp: the two round differently on some inputs
-    Ts = [min(max(T, T_MIN), T_MAX) for T in np.exp(np.asarray(x, dtype=float)).tolist()]
-    e1 = leadlag_phase_deg(Ts, ctx.omegas[0]) + ctx.fixed_phase_deg[0]
-    e2 = leadlag_phase_deg(Ts, ctx.omegas[1]) + ctx.fixed_phase_deg[1]
-    d1 = -ctx.fixed_phase_deg[1]  # cross-mode denominator for F1
-    d2 = -ctx.fixed_phase_deg[0]
+    x = np.ascontiguousarray(x, dtype=float)
+    # one np.exp over every point, not math.exp: the two round differently
+    # on some inputs
+    Ts = np.exp(x)
+    np.maximum(Ts, _T_MIN_0D, out=Ts)
+    np.minimum(Ts, _T_MAX_0D, out=Ts)
+    (w1, w2), (p1, p2) = ctx.omegas, ctx.fixed_phase_deg
+    d1, d2 = -p2, -p1  # cross-mode denominators for F1 and F2
     if abs(d1) <= 1.0 or abs(d2) <= 1.0:
         warnings.warn(
             "cross-mode phase denominator under 1 degree; using unnormalized residuals"
         )
-        return np.array([e1, e2])
-    return np.array([e1 / d1, e2 / d2])
+        d1 = d2 = 1.0
+    if x.ndim == 1:
+        T = Ts.tolist()
+        return np.array(
+            [(leadlag_phase_deg(T, w1) + p1) / d1, (leadlag_phase_deg(T, w2) + p2) / d2]
+        )
+    points = Ts.T.tolist()
+    return np.array([
+        [(leadlag_phase_deg(T, w1) + p1) / d1 for T in points],
+        [(leadlag_phase_deg(T, w2) + p2) / d2 for T in points],
+    ])
 
 
 @dataclass(frozen=True)
@@ -197,15 +213,17 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _jacobian(fun, x: np.ndarray) -> np.ndarray:
-    cols = []
-    for j, xj in enumerate(x.tolist()):
-        h = _JACOBIAN_REL_STEP * max(1.0, abs(xj))
-        xp = x.copy(); xp[j] += h
-        xm = x.copy(); xm[j] -= h
-        cols.append((np.atleast_1d(fun(xp)) - np.atleast_1d(fun(xm))) / (2.0 * h))
-    # column_stack builds a C-contiguous J; the BLAS products in dogleg_solve
-    # round differently on a transposed (Fortran-ordered) one
-    J = np.column_stack(cols)
+    """Central differences from one ``fun`` call on the 2n points x ± h e_j."""
+    n = len(x)
+    h = _JACOBIAN_REL_STEP * np.maximum(1.0, np.abs(x))
+    X = x[:, None].repeat(2 * n, axis=1)  # columns x + h_j e_j, then x - h_j e_j
+    j = np.arange(n)
+    X[j, j] += h
+    X[j, n + j] -= h
+    F = fun(X)
+    # C-contiguous whatever order fun returns: the BLAS products in
+    # dogleg_solve round differently on a Fortran-ordered J
+    J = np.ascontiguousarray((F[:, :n] - F[:, n:]) / (2.0 * h))
     if not np.all(np.isfinite(J)):
         raise DesignError("Jacobian evaluation failed (non-finite entries)")
     return J
@@ -216,6 +234,10 @@ def dogleg_solve(fun, x0, max_iter: int = 200) -> DoglegResult:
 
     Central-difference Jacobian; returns the best-found point with a
     non-convergence flag instead of raising when the tolerance is not met.
+    ``fun`` maps a point of shape ``(n,)`` to its ``m`` residuals, and an
+    ``(n, k)`` array of k points, one per column, to an ``(m, k)`` array of
+    their residuals, column for column: each Jacobian is one call on 2n
+    points.
     """
     x = np.asarray(x0, dtype=float).copy()
     F = np.atleast_1d(fun(x))
@@ -406,9 +428,12 @@ def select_gain(
 
     Feasible gains keep every closed-loop eigenvalue strictly in the left
     half-plane with a 6 dB gain margin (the loop at twice the gain must also
-    be stable).  K = 0 is the always-feasible fallback.  A candidate whose
-    eigen study raises AnalysisError or LinAlgError is skipped; DesignError
-    is raised when every non-zero candidate is.
+    be stable).  K = 0 is the always-feasible fallback.  The 2K study runs
+    only for a candidate that decides: stable at K and better than the best
+    so far.  A candidate whose eigen study raises AnalysisError or
+    LinAlgError is skipped; a 2K study that is not run cannot skip its
+    candidate.  DesignError is raised when every non-zero candidate is
+    skipped.
     """
     from .analysis import closed_loop_modes  # local import avoids a cycle
 
@@ -426,6 +451,11 @@ def select_gain(
     for K in candidates:
         try:
             cur = closed_loop_modes(plant_ss, design, surrogate, float(K), target_modes_hz)
+            if not cur.stable:
+                continue
+            score = min(m.damping_ratio for m in cur.target_modes)
+            if not score > best_score:
+                continue
             margin = closed_loop_modes(
                 plant_ss, design, surrogate, 2.0 * float(K), target_modes_hz
             )
@@ -434,10 +464,7 @@ def select_gain(
             # candidate out; any other failure is a fault and propagates
             skipped.append(f"K={K:g}: {exc}")
             continue
-        if not (cur.stable and margin.stable):
-            continue
-        score = min(m.damping_ratio for m in cur.target_modes)
-        if score > best_score:
+        if margin.stable:
             best_score = score
             best_k = float(K)
     if len(candidates) and len(skipped) == len(candidates):

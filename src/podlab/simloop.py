@@ -348,8 +348,8 @@ def _time_grid(duration_s: float, dt: float, channel_cfg: ChannelConfig) -> np.n
     """The simulation instants k * dt over the duration, checked."""
     if not 0 < dt <= 1e-3:
         raise SimulationError(f"simulation step {dt:g} s outside (0, 1 ms]")
-    if not duration_s > 0:
-        raise SimulationError("duration must be positive")
+    if not 0 < duration_s < math.inf:
+        raise SimulationError(f"duration {duration_s:g} s must be finite and positive")
     n = int(round(duration_s / dt))
     if n < 1:
         raise SimulationError(f"duration {duration_s:g} s holds no step of {dt:g} s")

@@ -111,20 +111,36 @@ def _spectra(
     u: np.ndarray, y: np.ndarray, sample_rate_hz: float, window: str, nperseg: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Welch spectra S_uu and S_uy on 50%-overlap segments, and the
-    magnitude-squared coherence from them plus S_yy: three spectral
-    estimates, where scipy.signal.coherence would compute S_uu and S_uy again."""
+    magnitude-squared coherence from them plus S_yy.
+
+    One short-time FFT per signal, built as scipy.signal.csd builds its own,
+    then csd's steps: auto terms re^2 + im^2, the cross term S_y conj(S_u),
+    one-sided bins doubled, mean over segments.  Each spectrum equals what
+    welch or csd returns, bit for bit, from two transforms where the three
+    calls take four, and the coherence is scipy.signal.coherence's."""
     # imported on first use: scipy.signal, and the scipy.stats it loads, would
     # otherwise be most of the time taken by `import podlab.cli`
     import scipy.signal
 
-    welch_args = dict(
-        fs=sample_rate_hz, window=window, nperseg=nperseg, noverlap=nperseg // 2, detrend=False
+    noverlap = nperseg // 2
+    sft = scipy.signal.ShortTimeFFT(
+        scipy.signal.get_window(window, nperseg), nperseg - noverlap, sample_rate_hz,
+        fft_mode="onesided", mfft=nperseg, scale_to="psd", phase_shift=None,
     )
-    f, s_uu = scipy.signal.welch(u, **welch_args)
-    _, s_yy = scipy.signal.welch(y, **welch_args)
-    _, s_uy = scipy.signal.csd(u, y, **welch_args)
+    p1 = (len(u) - noverlap) // sft.hop
+    S_u, S_y = (
+        sft.stft_detrend(v, None, p0=0, p1=p1, k_offset=nperseg // 2) for v in (u, y)
+    )
+
+    def average(P):
+        P[1 : -1 if nperseg % 2 == 0 else None] *= 2  # the one-sided doubling
+        return P.mean(axis=-1).astype(complex)
+
+    s_uu = average(S_u.real**2 + S_u.imag**2).real
+    s_yy = average(S_y.real**2 + S_y.imag**2).real
+    s_uy = average(S_y * S_u.conj())
     # scipy.signal.coherence's own formula
-    return f, s_uu, s_uy, np.abs(s_uy) ** 2 / s_uu / s_yy
+    return sft.f, s_uu, s_uy, np.abs(s_uy) ** 2 / s_uu / s_yy
 
 
 def estimate_frf(
@@ -154,6 +170,8 @@ def estimate_frf(
         )
     if nperseg is None:
         nperseg = 2 ** int(math.floor(math.log2(len(u) / 4)))
+    if not 1 <= nperseg <= len(u):
+        raise SysidError(f"nperseg = {nperseg} outside [1, {len(u)}] samples")
     f, s_uu, s_uy, coh = _spectra(u, y, sample_rate_hz, window, nperseg)
     mask = (f >= lo) & (f <= hi) & (s_uu > 0)
     if not np.any(mask):
@@ -233,6 +251,9 @@ def fit_rational(freqs_hz: np.ndarray, H: np.ndarray, order: int = 6) -> Identif
     bad = ~(np.isfinite(freqs_hz) & (freqs_hz > 0))
     if bad.any():
         raise SysidError(f"frequency must be finite and positive, got {freqs_hz[bad][0]}")
+    bad = ~np.isfinite(H)
+    if bad.any():
+        raise SysidError(f"response must be finite, got {H[bad][0]} at {freqs_hz[bad][0]:g} Hz")
     omega = 2.0 * math.pi * freqs_hz
     omega0 = math.exp(float(np.mean(np.log(omega))))  # frequency scaling
     s_t = 1j * omega / omega0

@@ -13,7 +13,7 @@ from podlab.errors import (
     InfeasibleOperatingPointError,
     NyquistLimitError,
 )
-from podlab.lti import phase_at, series
+from podlab.lti import phase_at, series, to_state_space
 from podlab.poddesign import (
     T_MAX,
     T_MIN,
@@ -127,20 +127,31 @@ class TestResidual:
         assert np.allclose(residual_F(huge, ctx), residual_F(clamped, ctx))
 
 
+# Unit problems for the solver.  Indexed by row, each also maps an (n, k)
+# array of k points to their (m, k) residuals, as dogleg_solve requires.
+def _linear(x):
+    return np.array([x[0] + x[1] - 3.0, x[0] - x[1] - 1.0])
+
+
+def _rosenbrock(x):
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+_PHASE_CTX = DesignContext(omegas=(2.827, 5.655), fixed_phase_deg=(-130.0, -110.0))
+
+
+def _phase_residual(x):
+    return residual_F(x, _PHASE_CTX)
+
+
 class TestDogleg:
     def test_linear_system(self):
-        def fun(x):
-            return np.array([x[0] + x[1] - 3.0, x[0] - x[1] - 1.0])
-
-        res = dogleg_solve(fun, np.zeros(2))
+        res = dogleg_solve(_linear, np.zeros(2))
         assert res.converged
         assert np.allclose(res.x, [2.0, 1.0], atol=1e-8)
 
     def test_rosenbrock_residuals(self):
-        def fun(x):
-            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
-
-        res = dogleg_solve(fun, np.array([-1.2, 1.0]))
+        res = dogleg_solve(_rosenbrock, np.array([-1.2, 1.0]))
         assert res.converged
         assert res.fnorm < 1e-8
         assert res.iterations <= 200
@@ -454,6 +465,52 @@ def _dogleg_starts(n_starts=8):
     ]
 
 
+@pytest.fixture(scope="module")
+def drawn_cases(cfg, identified, surrogate):
+    """The default config and three drawn ones: (config, identified paths, surrogate)."""
+    cases = [(cfg, identified, surrogate)]
+    for drawn in _drawn_configs(cfg, 3, seed=13):
+        cases.append((drawn, pipeline.identify_both(drawn), pipeline.design_surrogate(drawn)))
+    return cases
+
+
+# The eager gain search that ran the 2K study for every candidate, kept as the
+# reference of select_gain.  It also returns the candidates whose 2K study
+# decides (stable at K and better than the best so far) and the number of
+# candidates it skipped.
+def _reference_select_gain(plant_ss, design, surrogate, target_modes_hz, K_grid):
+    from podlab.analysis import closed_loop_modes
+
+    def study(K):
+        try:
+            return closed_loop_modes(plant_ss, design, surrogate, K, target_modes_hz)
+        except (AnalysisError, np.linalg.LinAlgError):
+            return None
+
+    best_k = 0.0
+    base = closed_loop_modes(plant_ss, design, surrogate, 0.0, target_modes_hz)
+    best_score = min(m.damping_ratio for m in base.target_modes)
+    decisive, skipped = [], 0
+    for K in K_grid[K_grid != 0.0].tolist():
+        cur = study(K)
+        if cur is None:
+            skipped += 1
+            continue
+        score = min(m.damping_ratio for m in cur.target_modes)
+        if cur.stable and score > best_score:
+            decisive.append(K)
+        margin = study(2.0 * K)
+        if margin is None:
+            skipped += 1
+            continue
+        if not (cur.stable and margin.stable):
+            continue
+        if score > best_score:
+            best_score = score
+            best_k = K
+    return best_k, decisive, skipped
+
+
 class TestBitwiseReference:
     """The lean residual, Jacobian and norms reproduce the array-based
     solver path bit for bit: same iterates, same norms, same designs."""
@@ -510,16 +567,10 @@ class TestBitwiseReference:
                 n_iter += got.iterations
         assert n_jac < n_iter
 
-    def test_design_compensator_matches_reference(self, cfg, identified, surrogate, monkeypatch):
-        cases = [(cfg, identified, surrogate)]
-        for drawn in _drawn_configs(cfg, 3, seed=13):
-            cases.append(
-                (drawn, pipeline.identify_both(drawn), pipeline.design_surrogate(drawn))
-            )
-
+    def test_design_compensator_matches_reference(self, drawn_cases, monkeypatch):
         def designs():
             out = []
-            for c, idents, sur in cases:
+            for c, idents, sur in drawn_cases:
                 for ident in idents:
                     modes = find_modes(ident, band_hz=tuple(c["design"]["band_hz"]))
                     out.append(
@@ -533,3 +584,89 @@ class TestBitwiseReference:
         ref = designs()
         assert len(got) == 8
         assert _bits(got) == _bits(ref)
+
+    def test_residual_columns_match_single_points(self):
+        """An (4, k) call gives, column for column, the k single-point residuals."""
+        rng = np.random.default_rng(14)
+        ctxs = [
+            DesignContext(omegas=(2.827, 5.655), fixed_phase_deg=(-130.0, -110.0)),
+            DesignContext(omegas=(1.3, 7.1), fixed_phase_deg=(-0.5, -30.0)),  # unnormalized
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for ctx in ctxs:
+                for k in (1, 8, 13):
+                    X = rng.uniform(-7.0, 4.0, size=(4, k))
+                    F = residual_F(X, ctx)
+                    assert F.shape == (2, k)
+                    for j in range(k):
+                        ref = _reference_residual_F(X[:, j].copy(), ctx)
+                        assert _bits(F[:, j].copy()) == _bits(ref)
+
+    @pytest.mark.parametrize(
+        "fun, centre, spread",
+        [(_linear, [0.0, 0.0], 3.0), (_rosenbrock, [-1.2, 1.0], 3.0), (_phase_residual, [-1.5] * 4, 5.5)],
+        ids=["linear", "rosenbrock", "residual_F"],
+    )
+    def test_jacobian_is_one_call(self, fun, centre, spread):
+        """Each Jacobian is one fun call on the 2n points, bitwise equal to
+        the per-point central differences, and C-contiguous."""
+        rng = np.random.default_rng(15)
+        points = np.asarray(centre) + rng.uniform(-spread, spread, size=(50, len(centre)))
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return fun(x)
+
+        for x in points:
+            calls.clear()
+            J = poddesign._jacobian(counted, x)
+            assert calls == [(len(x), 2 * len(x))]
+            assert J.flags.c_contiguous
+            assert _bits(J) == _bits(_reference_jacobian(fun, x))
+
+    def test_select_gain_matches_eager_reference(self, drawn_cases, monkeypatch):
+        """The gain is the eager search's, and the 2K study runs exactly once
+        for each decisive candidate and for no other."""
+        from podlab import analysis
+
+        real = analysis.closed_loop_modes
+        gains = []
+
+        raised = []
+
+        def spy(plant_ss, design, surrogate, gain, targets):
+            gains.append(gain)
+            try:
+                return real(plant_ss, design, surrogate, gain, targets)
+            except AnalysisError:
+                raised.append(gain)
+                raise
+
+        n_decisive = n_candidates = n_skipped = 0
+        for c, idents, sur in drawn_cases:
+            grid_cfg = c["design"]["gain_grid"]
+            K_grid = np.geomspace(grid_cfg["lo"], grid_cfg["hi"], grid_cfg["n"])
+            for ld, ident in zip(pipeline.design_both(c, *idents, sur), idents):
+                target_hz = tuple(w / (2.0 * math.pi) for w in ld.context.omegas)
+                plant_ss = to_state_space(ident.tf)
+                ref, decisive, skipped = _reference_select_gain(
+                    plant_ss, ld.design, sur, target_hz, K_grid
+                )
+                n_skipped += skipped
+                monkeypatch.setattr(analysis, "closed_loop_modes", spy)
+                gains.clear()
+                got = select_gain(plant_ss, ld.design, sur, target_hz, K_grid)
+                monkeypatch.setattr(analysis, "closed_loop_modes", real)
+                assert _bits(got) == _bits(ref) == _bits(ld.design.gain)
+                expect = [0.0]
+                for K in K_grid.tolist():
+                    expect += [K, 2.0 * K] if K in decisive else [K]
+                assert gains == expect
+                n_decisive += len(decisive)
+                n_candidates += len(K_grid)
+        assert 0 < n_decisive < n_candidates
+        # a 2K study that could not change the answer is not run, so it cannot
+        # skip its candidate: the lazy search never skips more
+        assert len(raised) <= n_skipped

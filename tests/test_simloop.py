@@ -274,6 +274,15 @@ class TestRunClosedLoop:
         with pytest.raises(SimulationError, match=match):
             ensemble(2, 0, plant, dp, dq, chan, scenario, (0.0, 1.0), duration_s=duration_s, dt=dt)
 
+    @pytest.mark.parametrize("duration_s", [math.inf, math.nan])
+    def test_non_finite_duration_rejected(self, plant, designs, chan, scenario, duration_s):
+        # int(round(inf / dt)) would raise OverflowError
+        dp, dq = designs
+        with pytest.raises(SimulationError, match="must be finite and positive"):
+            run_closed_loop(plant, dp, dq, chan, scenario, seed=0, duration_s=duration_s)
+        with pytest.raises(SimulationError, match="must be finite and positive"):
+            ensemble(2, 0, plant, dp, dq, chan, scenario, (0.0, 1.0), duration_s=duration_s)
+
     @pytest.mark.parametrize("pod_on", [True, False])
     def test_channel_faster_than_the_grid_rejected(self, plant, designs, scenario, pod_on):
         dp, dq = designs

@@ -145,8 +145,14 @@ class TestEstimateFrf:
         with pytest.raises(SysidError, match="short"):
             estimate_frf(np.zeros(1000), np.zeros(1000), 100.0, (0.1, 2.0))
 
-    @pytest.mark.parametrize("window,nperseg", [("hann", 1024), ("boxcar", 1023)])
+    # odd nperseg has no Nyquist bin, so it doubles bins [1:], not [1:-1]
+    @pytest.mark.parametrize(
+        "window,nperseg", [("hann", 1024), ("hann", 1023), ("boxcar", 1024), ("boxcar", 1023)]
+    )
+    # boxcar-1024's Nyquist bin has S_uu = 0: NaN coherence here and in scipy
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
     def test_spectra_equal_scipy_bitwise(self, window, nperseg):
+        # one short-time FFT per signal gives welch's and csd's spectra, and
         # the coherence estimate_frf gates on is scipy.signal.coherence's
         # value, bit for bit, though built from the spectra it already has
         rng = np.random.default_rng(3)
@@ -160,6 +166,12 @@ class TestEstimateFrf:
         assert coh.tobytes() == coh_ref.tobytes()
         assert s_uu.tobytes() == scipy.signal.welch(u, **kw)[1].tobytes()
         assert s_uy.tobytes() == scipy.signal.csd(u, y, **kw)[1].tobytes()
+
+    @pytest.mark.parametrize("nperseg", [0, 60001])
+    def test_segment_outside_trace_rejected(self, nperseg):
+        u = self._prbs()
+        with pytest.raises(SysidError, match="nperseg"):
+            estimate_frf(u, u, 100.0, (0.1, 2.0), nperseg=nperseg)
 
     def test_low_coherence_rejected(self):
         rng = np.random.default_rng(0)
@@ -219,6 +231,15 @@ class TestFitRational:
         freqs[3] = bad
         with pytest.raises(SysidError, match="frequency must be finite and positive"):
             fit_rational(freqs, H, order=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 1.0)])
+    def test_non_finite_response_rejected(self, bad, capfd):
+        freqs, H = self._sample(TransferFunction([1.0], [1.0, 1.0]), np.geomspace(0.1, 1.0, 40))
+        H[5] = bad
+        with pytest.raises(SysidError, match="response must be finite"):
+            fit_rational(freqs, H, order=2)
+        # a NaN that reaches LAPACK prints "DLASCL parameter number 4" to stderr
+        assert capfd.readouterr().err == ""
 
     def test_default_plant_modes_within_2pct(self, identified, plant):
         for ident in identified:
