@@ -25,6 +25,7 @@ __all__ = [
     "ChannelSchedule",
     "ChannelInstance",
     "require_sample_rate",
+    "require_seed",
     "measure_campaign",
     "throughput_stats",
     "nyquist_limit",
@@ -160,6 +161,7 @@ class ChannelConfig:
             raise ChannelError("quantization_step must be non-negative")
         if self.emission not in ("jittered-periodic", "poisson"):
             raise ChannelError(f"unknown emission mode {self.emission!r}")
+        require_seed(self.seed, "seed", ChannelError)
 
 
 @dataclass(frozen=True)
@@ -342,6 +344,13 @@ def require_sample_rate(sample_rate_hz: float, cfg: ChannelConfig) -> None:
             f"simulation rate {sample_rate_hz:g} Hz too low: require >= "
             f"{100.0 * cfg.rate_hz:g} Hz for rate_hz={cfg.rate_hz:g}"
         )
+
+
+def require_seed(seed, name: str, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``seed`` is a non-negative integer, the only
+    seed a numpy SeedSequence takes."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise error(f"{name} must be a non-negative integer, got {seed!r}")
 
 
 def measure_campaign(

@@ -6,6 +6,7 @@ output directory, and embeds the config hash and seed in each artifact.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -63,6 +64,8 @@ def _prefix_for(exc: PodlabError) -> str:
 
 class _Ctx:
     def __init__(self, args):
+        if args.seed is not None:
+            chan.require_seed(args.seed, "--seed", ConfigError)
         self.cfg = load_config(args.config)
         self.hash = config_hash(self.cfg)
         self.seed = args.seed
@@ -322,9 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         ctx = _Ctx(args)
         _COMMANDS[(args.group, args.action)](ctx)

@@ -5,7 +5,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .channel import ChannelConfig, DelayDistribution, default_delay_distribution
+from .channel import ChannelConfig, DelayDistribution, default_delay_distribution, require_seed
 from .errors import ConfigError
 from .refplant import DisturbanceScenario, PlantConfig
 from .sysid import PrbsConfig
@@ -88,6 +88,9 @@ def validate_config(cfg: dict) -> dict:
     for section in ("plant", "channel", "identification", "design", "simulation"):
         if section not in cfg:
             raise ConfigError(f"missing config section {section!r}")
+    for section, key in (("channel", "seed"), ("simulation", "base_seed")):
+        if key in cfg[section]:
+            require_seed(cfg[section][key], f"config key '{section}.{key}'", ConfigError)
     return cfg
 
 

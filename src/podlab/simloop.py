@@ -13,7 +13,14 @@ import numpy as np
 from ._csvfmt import format_rows
 from ._sim import _BLOCK, zoh_discretize
 from .analysis import _ctrl_ss, loop_blocks
-from .channel import ChannelConfig, ChannelInstance, ChannelSchedule, quantize, require_sample_rate
+from .channel import (
+    ChannelConfig,
+    ChannelInstance,
+    ChannelSchedule,
+    quantize,
+    require_sample_rate,
+    require_seed,
+)
 from .errors import SimulationError
 from .lti import TransferFunction
 from .poddesign import CompensatorDesign
@@ -174,9 +181,10 @@ def _lifted(model: _LoopModel, lengths) -> tuple[dict[int, np.ndarray], list[np.
     [u, z] to the state m steps on while u is held, and C E[j] gives its
     outputs at step j.  The product of a row with
     V_m = [C E[0]; ...; C E[m - 1]; E[m]] is the row's m outputs followed by
-    its end state.  Returns V_m for each block length in ``lengths``, and
-    ``step[m][l]``, column l of V_m (l < 2): the response of those outputs
-    and that end state to a unit step on received reference l.
+    its end state.  Returns ``VT[m]``, V_m.T made C-contiguous, for each
+    block length m in ``lengths``, and ``step[m][l]``, column l of V_m
+    (l < 2): the response of those outputs and that end state to a unit step
+    on received reference l.
     """
     N = model.M.shape[0]
     Bd, Ad = model.M[:, :3], model.M[:, 3:]
@@ -186,9 +194,9 @@ def _lifted(model: _LoopModel, lengths) -> tuple[dict[int, np.ndarray], list[np.
         np.matmul(Ad, E[m], out=E[m + 1])
         E[m + 1, :, :3] += Bd
     O = (model.C[:, 3:] @ E[:-1]).reshape(3 * _BLOCK, N + 3)
-    V = {m: np.concatenate([O[: 3 * m], E[m]]) for m in lengths}
+    VT = {m: np.concatenate([O[: 3 * m], E[m]]).T.copy() for m in lengths}
     step = [np.concatenate([O[: 3 * m, :2], E[m, :, :2]]).T.copy() for m in range(_BLOCK + 1)]
-    return V, step
+    return VT, step
 
 
 def _lockstep(
@@ -204,16 +212,18 @@ def _lockstep(
     None for a POD-off run.  Row r of X holds run r's [u, z]: inputs and
     state.  The grid is cut into blocks of ``_BLOCK`` steps, and also at the
     kick and at the pulse edges, so the disturbance input is constant within
-    a block.  A block of L steps is one product
-    ``einsum('kj,ij->ki', X, V_L)`` (see ``_lifted``), giving every row's L
-    outputs and end state for inputs held at their values at the block
-    start.  The block's channel events then run in step order: a send
-    captures the limited, quantized controller output of its run at its
-    step; an apply updates the unit's held value and that run's received
-    mean, and adds the change times the step response from that step on to
-    the run's remaining outputs and end state.  Every operation acts on one
-    row in a fixed order, so a run's numbers do not depend on the other
-    rows: a run is bitwise the same alone or in any batch.
+    a block.  A block of L steps is one BLAS product per row,
+    ``matmul(X[:, None, :], VT[L])`` with ``VT[L]`` = V_L.T (see
+    ``_lifted``), giving every row's L outputs and end state for inputs held
+    at their values at the block start.  The block's channel events then run
+    in step order: a send captures the limited, quantized controller output
+    of its run at its step; an apply updates the unit's held value and that
+    run's received mean, and adds the change times the step response from
+    that step on to the run's remaining outputs and end state.  Every
+    operation, the product included, acts on one row in a fixed order: each
+    row is its own (1, N + 3) @ (N + 3, 3L + N) call to the same BLAS
+    routine, so a run's numbers do not depend on the other rows, and a run
+    is bitwise the same alone or in any batch.
 
     Returns omega_g as (steps, runs) and, with ``record_io``, the limited
     and the received (p, q) references as (steps, runs, 2).
@@ -236,7 +246,7 @@ def _lockstep(
     cuts = sorted({k for k in (*range(0, n_steps, _BLOCK), *kick, *pulse) if k < n_steps})
     cuts.append(n_steps)
 
-    V, step = _lifted(model, set(np.diff(cuts).tolist()))
+    VT, step = _lifted(model, set(np.diff(cuts).tolist()))
 
     ev_step, ev_msg, owner = _events(runs)
     ev_step.append(n_steps)  # sentinel
@@ -257,7 +267,7 @@ def _lockstep(
             X[:, 3 : 3 + model.n_plant] += kick[k0]
         if k0 in pulse:
             X[:, 2] = pulse[k0]
-        Y = np.einsum("kj,ij->ki", X, V[L], optimize=False)
+        Y = np.matmul(X[:, None, :], VT[L])[:, 0, :]
         if record_io:
             recv[k0:k1] = X[:, :2]
         while due < k1:
@@ -312,6 +322,7 @@ def run_closed_loop(
     frequency deviation; the limiter acts on the central side before
     transmission.
     """
+    require_seed(seed, "seed", SimulationError)
     t_grid = _time_grid(duration_s, dt, channel_cfg)
     model = _loop_model(plant, design_p, design_q, scenario, dt)
     n = len(t_grid)
@@ -397,6 +408,7 @@ def ensemble(
     """
     if n_runs < 1:
         raise SimulationError("n_runs must be >= 1")
+    require_seed(base_seed, "base_seed", SimulationError)
     t_grid = _time_grid(duration_s, dt, channel_cfg)
     model = _loop_model(plant, design_p, design_q, scenario, dt)
     seeds = [None] + [base_seed + i for i in range(n_runs)]  # None: the baseline

@@ -124,13 +124,14 @@ def test_acceptance_5_compensator_design(identified, surrogate, loop_designs):
 def test_acceptance_6_eigenvalue_improvement(plant, surrogate, loop_designs):
     with _verdict(6, "closed-loop damping improvement"):
         t0 = time.perf_counter()
-        for ld in loop_designs:
+        # each design closes on its own path: p on the active, q on the reactive
+        for path, ld in zip((plant.p_path, plant.q_path), loop_designs):
             d = ld.design
-            base = closed_loop_modes(plant.p_path, d, surrogate, 0.0, (0.45, 0.90))
+            base = closed_loop_modes(path, d, surrogate, 0.0, (0.45, 0.90))
             for got, true in zip(base.target_modes, plant.true_modes):
                 assert abs(got.freq_hz - true.freq_hz) < 1e-9
                 assert abs(got.damping_ratio - true.damping_ratio) < 1e-9
-            tuned = closed_loop_modes(plant.p_path, d, surrogate, d.gain, (0.45, 0.90))
+            tuned = closed_loop_modes(path, d, surrogate, d.gain, (0.45, 0.90))
             assert tuned.stable
             for got, true in zip(tuned.target_modes, plant.true_modes):
                 assert got.damping_ratio > true.damping_ratio
@@ -153,9 +154,10 @@ def test_acceptance_7_monte_carlo(cfg, plant, loop_designs):
         elapsed = time.perf_counter() - t0
         assert stats.n_runs == 50
         assert stats.median_ratio <= 0.5, f"median ratio {stats.median_ratio:.3f}"
-        # individual runs above 0.9 are tolerated; only the median is binding
+        # no single run may come close to the POD-off energy: over 150 runs
+        # (seeds 42, 1042 and 2042) the largest ratio measured was 0.489
         n_high = sum(m / stats.baseline_metric > 0.9 for m in stats.metrics)
-        assert n_high >= 0
+        assert n_high == 0, f"{n_high} runs above 0.9 of the POD-off energy"
         # bit-reproducibility: a 5-run repeat equals the 50-run prefix
         small_a = ensemble(
             5, sim["base_seed"], plant, dp, dq, chan, scen,

@@ -346,6 +346,12 @@ class TestConfigValidation:
                 delay=DelayDistribution.point_mass(0.1), rate_hz=1.0, emission="carrier-pigeon"
             )
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+    def test_bad_seed(self, seed):
+        # numpy's SeedSequence would raise its own ValueError on a negative seed
+        with pytest.raises(ChannelError, match="seed must be a non-negative integer"):
+            ChannelConfig(delay=DelayDistribution.point_mass(0.1), rate_hz=1.0, seed=seed)
+
     def test_poisson_emission_runs(self):
         cfg = ChannelConfig(
             delay=DelayDistribution.point_mass(0.1), rate_hz=5.0, seed=3, emission="poisson"

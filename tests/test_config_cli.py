@@ -69,6 +69,15 @@ class TestConfigValidation:
         b["simulation"]["base_seed"] = 43
         assert config_hash(a) != config_hash(b)
 
+    @pytest.mark.parametrize("section, key", [("channel", "seed"), ("simulation", "base_seed")])
+    @pytest.mark.parametrize("value", [-1, 0.5, True, "42", None])
+    def test_bad_seed_rejected(self, section, key, value):
+        # numpy's SeedSequence rejects these itself, or (None) seeds from entropy
+        cfg = default_config()
+        cfg[section][key] = value
+        with pytest.raises(ConfigError, match=f"'{section}.{key}' must be a non-negative integer"):
+            validate_config(cfg)
+
     def test_unknown_delay_kind_rejected(self):
         cfg = default_config()
         cfg["channel"]["delay"] = {"kind": "carrier-pigeon"}
@@ -286,6 +295,77 @@ class TestCliErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("simloop: simulation step 0 s outside (0, 1 ms]")
+
+    @pytest.mark.parametrize("stage", [["channel", "measure"], ["sim", "run"], ["sim", "ensemble"]])
+    def test_negative_seed_flag_reported(self, workdir, pipeline_out, tmp_path, capsys, stage):
+        _, cfg_path, _ = workdir
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        rc = main(stage + ["--config", str(cfg_path), "--out", str(out), "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "cli: --seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize(
+        "stage, section, key",
+        [
+            (["channel", "measure"], "channel", "seed"),
+            (["sim", "run"], "simulation", "base_seed"),
+            (["sim", "ensemble"], "simulation", "base_seed"),
+        ],
+    )
+    def test_negative_config_seed_reported(
+        self, workdir, pipeline_out, tmp_path, capsys, stage, section, key
+    ):
+        _, _, cfg = workdir
+        bad = json.loads(json.dumps(cfg))
+        bad[section][key] = -1
+        bad_path = tmp_path / "negative_seed.json"
+        bad_path.write_text(json.dumps(bad))
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        rc = main(stage + ["--config", str(bad_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"cli: config key '{section}.{key}' must be a non-negative integer, got -1\n"
+
+    def test_negative_seed_console_has_no_traceback(self, workdir, tmp_path):
+        _, cfg_path, _ = workdir
+        src = str(Path(podlab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["channel", "measure", "--config", str(cfg_path), "--out", str(tmp_path), "--seed", "-1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "podlab.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "cli: --seed must be a non-negative integer, got -1\n"
+
+    def test_reused_parser_sees_only_each_calls_arguments(self, workdir, tmp_path, monkeypatch):
+        _, cfg_path, _ = workdir
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        seen = []
+        for key in cli._COMMANDS:
+            monkeypatch.setitem(
+                cli._COMMANDS, key, lambda ctx, key=key: seen.append((*key, ctx.seed, ctx.out.name))
+            )
+        calls = [
+            ["channel", "measure", "--seed", "7"],
+            ["plant", "build"],
+            ["channel", "measure"],
+            ["sim", "ensemble", "--seed", "0"],
+            ["analyze", "eig"],
+        ]
+        for i, argv in enumerate(calls):
+            assert main(argv + ["--config", str(cfg_path), "--out", str(tmp_path / str(i))]) == 0
+        assert seen == [
+            ("channel", "measure", 7, "0"),
+            ("plant", "build", None, "1"),
+            ("channel", "measure", None, "2"),
+            ("sim", "ensemble", 0, "3"),
+            ("analyze", "eig", None, "4"),
+        ]
+        assert len(built) == 1
 
     def test_podlab_out_env_var(self, workdir, tmp_path, monkeypatch):
         _, cfg_path, _ = workdir

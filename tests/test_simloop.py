@@ -134,28 +134,32 @@ class TestLockstepKernel:
         t_grid = np.arange(3000) * 1e-3
         runs = [
             simloop._schedules(simloop._channels(chan, 3.0, seed, Participation()), t_grid)
-            for seed in range(50)
+            for seed in range(51)
         ]
 
         def omega(rows):
             return simloop._lockstep(model, t_grid, rows, chan.quantization_step)[0]
 
-        wide = omega(runs)
-        block = omega(runs[3:10])
-        for i in range(7):
-            assert np.array_equal(block[:, i], wide[:, 3 + i])
-        for i in (0, 5, 49):
-            assert np.array_equal(omega(runs[i : i + 1])[:, 0], wide[:, i])
+        alone = [omega([run])[:, 0] for run in runs]
+        # around the ensemble's 17-run batch, and one batch of every run; each
+        # window start puts a run at another row of the batch
+        for width in (16, 17, 18, 51):
+            for start in range(len(runs) - width + 1):
+                batch = omega(runs[start : start + width])
+                for row in range(width):
+                    assert np.array_equal(batch[:, row], alone[start + row]), (width, start, row)
 
     def test_ensemble_run_past_first_block_matches_direct_call(
         self, plant, designs, chan, scenario
     ):
+        # the baseline takes row 0 of the first batch, so runs B - 2 and
+        # 2B - 2 end a batch and runs B - 1 and 2B - 1 start the next
         dp, dq = designs
-        n = simloop._BLOCK_RUNS + 2  # the baseline fills a row of the first block
-        stats = ensemble(n, 5, plant, dp, dq, chan, scenario, (0.5, 3.0), duration_s=3.0)
-        for i in (0, n - 2, n - 1):
+        B = simloop._BLOCK_RUNS
+        stats = ensemble(2 * B, 5, plant, dp, dq, chan, scenario, (0.5, 3.0), duration_s=3.0)
+        for i in (0, B - 2, B - 1, 2 * B - 2, 2 * B - 1):
             trace = run_closed_loop(plant, dp, dq, chan, scenario, seed=5 + i, duration_s=3.0)
-            assert stats.metrics[i] == damping_metric(trace, (0.5, 3.0))
+            assert stats.metrics[i] == damping_metric(trace, (0.5, 3.0)), i
         off = run_closed_loop(
             plant, dp, dq, chan, scenario, seed=5, pod_on=False, duration_s=3.0
         )
@@ -273,6 +277,15 @@ class TestRunClosedLoop:
             run_closed_loop(plant, dp, dq, chan, scenario, seed=0, duration_s=duration_s, dt=dt)
         with pytest.raises(SimulationError, match=match):
             ensemble(2, 0, plant, dp, dq, chan, scenario, (0.0, 1.0), duration_s=duration_s, dt=dt)
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, None])
+    def test_bad_seed_rejected(self, plant, designs, chan, scenario, seed):
+        # a negative seed would reach numpy's SeedSequence and raise there
+        dp, dq = designs
+        with pytest.raises(SimulationError, match="seed must be a non-negative integer"):
+            run_closed_loop(plant, dp, dq, chan, scenario, seed=seed, duration_s=2.0)
+        with pytest.raises(SimulationError, match="base_seed must be a non-negative integer"):
+            ensemble(2, seed, plant, dp, dq, chan, scenario, (0.5, 2.0), duration_s=2.0)
 
     @pytest.mark.parametrize("duration_s", [math.inf, math.nan])
     def test_non_finite_duration_rejected(self, plant, designs, chan, scenario, duration_s):
