@@ -55,22 +55,14 @@ class EigenStudy:
     cases: tuple[ClosedLoopResult, ...]
 
     def to_dict(self) -> dict:
-        def mode_d(m: ModeReport) -> dict:
-            return {
-                "eigenvalue_re": m.eigenvalue.real,
-                "eigenvalue_im": m.eigenvalue.imag,
-                "freq_hz": m.freq_hz,
-                "damping_ratio": m.damping_ratio,
-            }
-
         return {
-            "baseline": [mode_d(m) for m in self.baseline],
+            "baseline": [m.to_dict() for m in self.baseline],
             "cases": [
                 {
                     "label": c.label,
                     "gain": c.gain,
                     "stable": c.stable,
-                    "target_modes": [mode_d(m) for m in c.target_modes],
+                    "target_modes": [m.to_dict() for m in c.target_modes],
                 }
                 for c in self.cases
             ],

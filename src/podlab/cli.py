@@ -19,7 +19,6 @@ from . import analysis, channel as chan, pipeline, poddesign, simloop
 from ._csvfmt import format_rows
 from .config import (
     channel_config,
-    config_hash,
     load_config,
     plant_config,
     scenario_config,
@@ -66,8 +65,7 @@ class _Ctx:
     def __init__(self, args):
         if args.seed is not None:
             chan.require_seed(args.seed, "--seed", ConfigError)
-        self.cfg = load_config(args.config)
-        self.hash = config_hash(self.cfg)
+        self.cfg, self.hash = load_config(args.config)
         self.seed = args.seed
         out = args.out or os.environ.get("PODLAB_OUT") or "podlab_out"
         self.out = Path(out)
@@ -119,7 +117,7 @@ def cmd_plant_build(ctx: _Ctx) -> None:
 
 def cmd_channel_measure(ctx: _Ctx) -> None:
     cfg = channel_config(ctx.cfg, seed=ctx.channel_seed)
-    n = ctx.cfg["channel"].get("campaign_messages", 1200)
+    n = ctx.cfg["channel"]["campaign_messages"]
     log = chan.measure_campaign(cfg, n)
     ctx.write_csv("delay_log.csv", log.csv_rows(), seed=ctx.channel_seed)
 

@@ -1,8 +1,16 @@
-"""Project configuration: strict schema, loading and object builders."""
+"""Project configuration: the packaged default, validation and object builders.
+
+The packaged ``data/default_config.json`` is both the default config and its
+key set: a config holds exactly its keys, each with the default's JSON type,
+apart from the keys in ``_FALLBACKS`` that it may omit and the keys of its
+delay kind in ``_DELAY_KINDS``.
+"""
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+from importlib import resources
 from pathlib import Path
 
 from .channel import ChannelConfig, DelayDistribution, default_delay_distribution, require_seed
@@ -12,89 +20,115 @@ from .sysid import PrbsConfig
 
 SCHEMA_VERSION = 1
 
-_SCHEMA = {
-    "schema_version": None,
-    "plant": {
-        "mode_freqs_hz": None,
-        "damping_ratios": None,
-        "p_residue_phases_deg": None,
-        "q_residue_phases_deg": None,
-        "residual_corner_hz": None,
-        "residual_gain": None,
-    },
-    "channel": {
-        "delay": {
-            "kind": None, "mean_s": None, "low": None, "high": None,
-            "value": None, "mu": None, "sigma": None,
-            "bin_edges": None, "bin_probs": None,
-        },
-        "rate_hz": None,
-        "quantization_step": None,
-        "emission": None,
-        "seed": None,
-        "campaign_messages": None,
-    },
-    "identification": {
-        "register_bits": None,
-        "chip_period_s": None,
-        "amplitude_pu": None,
-        "duration_s": None,
-        "sample_rate_hz": None,
-        "band_hz": None,
-        "fit_order": None,
-    },
-    "design": {
-        "band_hz": None,
-        "max_pade_order": None,
-        "max_phase_err_deg": None,
-        "washout_Tw_s": None,
-        "limits": {"k": None, "p_R": None, "q_R": None, "S_n": None},
-        "gain_grid": {"n": None, "lo": None, "hi": None},
-    },
-    "simulation": {
-        "duration_s": None,
-        "dt_s": None,
-        "scenario": {
-            "kind": None, "magnitude": None, "start_s": None,
-            "duration_s": None, "target": None,
-        },
-        "n_runs": None,
-        "base_seed": None,
-        "metric_window_s": None,
-    },
+# the keys a config may omit, and the value each then takes
+_FALLBACKS = {
+    "channel.campaign_messages": 1200,
+    "channel.quantization_step": 0.0,
+    "channel.emission": "jittered-periodic",
+    "channel.delay.mean_s": 0.3,
+    "design.max_phase_err_deg": 10.0,
+    "design.max_pade_order": 8,
+    "design.washout_Tw_s": 5.0,
+    "simulation.scenario.start_s": 0.0,
+    "simulation.scenario.duration_s": 0.0,
+    "simulation.scenario.target": "mode-states",
 }
 
+# each delay kind's builder and keys, in the builder's argument order; a
+# key's value here gives only its type
+_DELAY_KINDS = {
+    "default-histogram": (default_delay_distribution, {"mean_s": 0.0}),
+    "point-mass": (DelayDistribution.point_mass, {"value": 0.0}),
+    "uniform": (DelayDistribution.uniform, {"low": 0.0, "high": 0.0}),
+    "truncated-normal": (
+        DelayDistribution.truncated_normal, {"mu": 0.0, "sigma": 0.0, "low": 0.0, "high": 0.0}
+    ),
+    "empirical-histogram": (DelayDistribution.empirical, {"bin_edges": [0.0], "bin_probs": [0.0]}),
+}
 
-def _check_keys(section: dict, schema: dict, path: str) -> None:
-    for key, value in section.items():
-        if key not in schema:
-            raise ConfigError(f"unknown config key {path}{key!r}")
-        sub = schema[key]
-        if isinstance(sub, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {path}{key!r} must be a section")
-            _check_keys(value, sub, f"{path}{key}.")
+_SEEDS = ("channel.seed", "simulation.base_seed")
+
+# what a leaf of each default type accepts; bool is never a number
+_ACCEPTS = {int: int, float: (int, float), str: str, list: list, dict: dict}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "a section"}
+
+
+@functools.cache
+def _default_text() -> str:
+    return (resources.files(__package__) / "data" / "default_config.json").read_text()
+
+
+def default_config() -> dict:
+    """A fresh copy of the packaged default config."""
+    return json.loads(_default_text())
+
+
+def _delay_kind(kind) -> tuple:
+    if not isinstance(kind, str) or kind not in _DELAY_KINDS:
+        raise ConfigError(f"unknown delay kind {kind!r}")
+    return _DELAY_KINDS[kind]
+
+
+def _delay_template(delay: dict) -> dict:
+    """The keys of a delay section: its kind and that kind's keys."""
+    if "kind" not in delay:
+        raise ConfigError("missing config key 'channel.delay.kind'")
+    kind = delay["kind"]
+    keys = _delay_kind(kind)[1]
+    for key in delay:
+        if key not in keys and any(key in k for _, k in _DELAY_KINDS.values()):
+            raise ConfigError(f"config key 'channel.delay.{key}' does not apply to delay kind {kind!r}")
+    return {"kind": kind, **keys}
+
+
+def _checked(value, default, name: str):
+    """``value`` checked against the type of ``default``; a section comes
+    back complete, with its omitted keys at their fallbacks."""
+    if name in _SEEDS:
+        require_seed(value, f"config key {name!r}", ConfigError)
+        return value
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTS[type(default)]):
+        raise ConfigError(f"config key {name!r} must be {_TYPE_NAMES[type(default)]}, got {value!r}")
+    if isinstance(default, list):
+        for i, item in enumerate(value):
+            _checked(item, default[0], f"{name}[{i}]")
+    if not isinstance(default, dict):
+        return value
+    if name == "channel.delay":
+        default = _delay_template(value)
+    prefix = f"{name}." if name else ""
+    for key in value:
+        if key not in default:
+            raise ConfigError(f"unknown config key '{prefix}{key}'")
+    out = {}
+    for key, sub in default.items():
+        path = prefix + key
+        if key in value:
+            out[key] = _checked(value[key], sub, path)
+        elif path in _FALLBACKS:
+            out[key] = _FALLBACKS[path]
+        else:
+            raise ConfigError(f"missing config key {path!r}")
+    return out
 
 
 def validate_config(cfg: dict) -> dict:
+    """A complete copy of ``cfg``: every key the default config has, with
+    the omitted optional keys at their fallbacks.  Raises ``ConfigError``
+    naming the key for an unknown, missing or mistyped key."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
-    _check_keys(cfg, _SCHEMA, "")
-    if cfg.get("schema_version") != SCHEMA_VERSION:
+    cfg = _checked(cfg, default_config(), "")
+    if cfg["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
-            f"unsupported schema_version {cfg.get('schema_version')!r}; "
-            f"expected {SCHEMA_VERSION}"
+            f"unsupported schema_version {cfg['schema_version']!r}; expected {SCHEMA_VERSION}"
         )
-    for section in ("plant", "channel", "identification", "design", "simulation"):
-        if section not in cfg:
-            raise ConfigError(f"missing config section {section!r}")
-    for section, key in (("channel", "seed"), ("simulation", "base_seed")):
-        if key in cfg[section]:
-            require_seed(cfg[section][key], f"config key '{section}.{key}'", ConfigError)
     return cfg
 
 
-def load_config(path: str | Path) -> dict:
+def load_config(path: str | Path) -> tuple[dict, str]:
+    """The complete config in a JSON file, and the hash of the config as
+    written, which artifacts carry."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -102,65 +136,12 @@ def load_config(path: str | Path) -> dict:
         cfg = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return validate_config(cfg)
+    return validate_config(cfg), config_hash(cfg)
 
 
 def config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def default_config() -> dict:
-    return {
-        "schema_version": 1,
-        "plant": {
-            "mode_freqs_hz": [0.45, 0.90],
-            "damping_ratios": [0.02, 0.03],
-            "p_residue_phases_deg": [8.6, 88.0],
-            "q_residue_phases_deg": [-10.0, 72.0],
-            "residual_corner_hz": 3.0,
-            "residual_gain": 0.2,
-        },
-        "channel": {
-            "delay": {"kind": "default-histogram", "mean_s": 0.3},
-            "rate_hz": 3.5,
-            "quantization_step": 0.0,
-            "emission": "jittered-periodic",
-            "seed": 1234,
-            "campaign_messages": 1200,
-        },
-        "identification": {
-            "register_bits": 10,
-            "chip_period_s": 0.1,
-            "amplitude_pu": 0.05,
-            "duration_s": 600.0,
-            "sample_rate_hz": 100.0,
-            "band_hz": [0.1, 2.0],
-            "fit_order": 6,
-        },
-        "design": {
-            "band_hz": [0.1, 2.0],
-            "max_pade_order": 8,
-            "max_phase_err_deg": 10.0,
-            "washout_Tw_s": 5.0,
-            "limits": {"k": 0.1, "p_R": 0.5, "q_R": 0.0, "S_n": 1.0},
-            "gain_grid": {"n": 40, "lo": 0.01, "hi": 100.0},
-        },
-        "simulation": {
-            "duration_s": 30.0,
-            "dt_s": 0.001,
-            "scenario": {
-                "kind": "state-impulse",
-                "magnitude": 0.05,
-                "start_s": 1.0,
-                "duration_s": 0.0,
-                "target": "mode-states",
-            },
-            "n_runs": 50,
-            "base_seed": 42,
-            "metric_window_s": [1.0, 30.0],
-        },
-    }
 
 
 def plant_config(cfg: dict) -> PlantConfig:
@@ -177,18 +158,8 @@ def plant_config(cfg: dict) -> PlantConfig:
 
 def delay_distribution(cfg: dict) -> DelayDistribution:
     d = cfg["channel"]["delay"]
-    kind = d.get("kind")
-    if kind == "default-histogram":
-        return default_delay_distribution(mean_s=d.get("mean_s", 0.3))
-    if kind == "point-mass":
-        return DelayDistribution.point_mass(d["value"])
-    if kind == "uniform":
-        return DelayDistribution.uniform(d["low"], d["high"])
-    if kind == "truncated-normal":
-        return DelayDistribution.truncated_normal(d["mu"], d["sigma"], d["low"], d["high"])
-    if kind == "empirical-histogram":
-        return DelayDistribution.empirical(d["bin_edges"], d["bin_probs"])
-    raise ConfigError(f"unknown delay kind {kind!r}")
+    build, keys = _delay_kind(d["kind"])
+    return build(*(d[key] for key in keys))
 
 
 def channel_config(cfg: dict, seed: int | None = None) -> ChannelConfig:
@@ -196,9 +167,9 @@ def channel_config(cfg: dict, seed: int | None = None) -> ChannelConfig:
     return ChannelConfig(
         delay=delay_distribution(cfg),
         rate_hz=c["rate_hz"],
-        quantization_step=c.get("quantization_step", 0.0),
+        quantization_step=c["quantization_step"],
         seed=c["seed"] if seed is None else seed,
-        emission=c.get("emission", "jittered-periodic"),
+        emission=c["emission"],
     )
 
 
@@ -217,7 +188,7 @@ def scenario_config(cfg: dict) -> DisturbanceScenario:
     return DisturbanceScenario(
         kind=s["kind"],
         magnitude=s["magnitude"],
-        start_s=s.get("start_s", 0.0),
-        duration_s=s.get("duration_s", 0.0),
-        target=s.get("target", "mode-states"),
+        start_s=s["start_s"],
+        duration_s=s["duration_s"],
+        target=s["target"],
     )

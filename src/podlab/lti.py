@@ -125,6 +125,14 @@ class ModeReport:
     freq_hz: float
     damping_ratio: float
 
+    def to_dict(self) -> dict:
+        return {
+            "eigenvalue_re": self.eigenvalue.real,
+            "eigenvalue_im": self.eigenvalue.imag,
+            "freq_hz": self.freq_hz,
+            "damping_ratio": self.damping_ratio,
+        }
+
 
 def mode_report(eigenvalue: complex) -> ModeReport:
     lam = complex(eigenvalue)

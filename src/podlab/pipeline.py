@@ -78,8 +78,8 @@ def surrogate_for(cfg: dict, mean_delay_s: float) -> DelaySurrogate:
     return build_surrogate(
         mean_delay_s,
         band_hz=tuple(design["band_hz"]),
-        max_phase_err_deg=design.get("max_phase_err_deg", 10.0),
-        max_order=design.get("max_pade_order", 8),
+        max_phase_err_deg=design["max_phase_err_deg"],
+        max_order=design["max_pade_order"],
     )
 
 
@@ -104,7 +104,7 @@ def design_loop(
         modes,
         channel_rate_hz=cfg["channel"]["rate_hz"],
         loop=loop,
-        washout_Tw_s=design_cfg.get("washout_Tw_s", 5.0),
+        washout_Tw_s=design_cfg["washout_Tw_s"],
         limit_pu=limit,
     )
     grid_cfg = design_cfg["gain_grid"]

@@ -200,15 +200,7 @@ class IdentifiedPlant:
             "fit_band_hz": list(self.fit_band_hz),
             "frf_fit_mag_err_db": self.frf_fit_mag_err_db,
             "frf_fit_phase_err_deg": self.frf_fit_phase_err_deg,
-            "modes": [
-                {
-                    "eigenvalue_re": m.eigenvalue.real,
-                    "eigenvalue_im": m.eigenvalue.imag,
-                    "freq_hz": m.freq_hz,
-                    "damping_ratio": m.damping_ratio,
-                }
-                for m in self.modes
-            ],
+            "modes": [m.to_dict() for m in self.modes],
         }
 
     @classmethod

@@ -1,5 +1,8 @@
+import functools
 import json
+import operator
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,17 +14,23 @@ import pytest
 import podlab
 from podlab import cli, pipeline
 from podlab.cli import main
+from podlab.channel import ChannelConfig, default_delay_distribution
 from podlab.config import (
+    channel_config,
     config_hash,
     default_config,
     delay_distribution,
     load_config,
+    scenario_config,
     validate_config,
 )
 from podlab.delaymodel import DelaySurrogate, build_surrogate
 from podlab.errors import ConfigError
 from podlab.poddesign import CompensatorDesign
+from podlab.refplant import DisturbanceScenario
 from podlab.sysid import IdentifiedPlant
+
+_MISSING = object()
 
 
 class TestConfigValidation:
@@ -84,11 +93,66 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="delay kind"):
             delay_distribution(cfg)
 
-    def test_packaged_default_config_matches_builder(self):
-        from importlib import resources
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            pytest.param("channel.rate_hz", _MISSING, "channel.rate_hz", id="missing-rate_hz"),
+            pytest.param("simulation.dt_s", _MISSING, "simulation.dt_s", id="missing-dt_s"),
+            pytest.param(
+                "channel.delay", {"kind": "uniform", "low": 0.1}, "channel.delay.high",
+                id="uniform-without-high",
+            ),
+            pytest.param(
+                "channel.delay", {"kind": "uniform", "low": 0.1, "high": 0.5, "value": 0.3},
+                "channel.delay.value", id="point-mass-key-under-uniform",
+            ),
+            pytest.param("design.gain_grid.n", "40", "design.gain_grid.n", id="n-string"),
+            pytest.param("design.gain_grid.n", 40.0, "design.gain_grid.n", id="n-float"),
+            pytest.param("channel.rate_hz", "3.5", "channel.rate_hz", id="rate-string"),
+            pytest.param("identification.fit_order", True, "identification.fit_order", id="order-bool"),
+        ],
+    )
+    def test_bad_key_rejected_by_name(self, key, value, named):
+        cfg = default_config()
+        *sections, leaf = key.split(".")
+        section = functools.reduce(operator.getitem, sections, cfg)
+        if value is _MISSING:
+            del section[leaf]
+        else:
+            section[leaf] = value
+        with pytest.raises(ConfigError, match=re.escape(f"'{named}'")):
+            validate_config(cfg)
 
-        text = resources.files("podlab.data").joinpath("default_config.json").read_text()
-        assert json.loads(text) == default_config()
+    def test_default_config_calls_are_independent(self):
+        a, b = default_config(), default_config()
+        assert a == b and a is not b
+        a["plant"]["mode_freqs_hz"].append(1.2)
+        a["channel"]["delay"]["mean_s"] = 0.5
+        assert b == default_config() and b["plant"]["mode_freqs_hz"] == [0.45, 0.9]
+
+    def test_omitted_optional_keys_take_their_fallbacks(self):
+        cfg = default_config()
+        for section, keys in (
+            (cfg["channel"], ("campaign_messages", "quantization_step", "emission")),
+            (cfg["channel"]["delay"], ("mean_s",)),
+            (cfg["design"], ("max_phase_err_deg", "max_pade_order", "washout_Tw_s")),
+            (cfg["simulation"]["scenario"], ("start_s", "duration_s", "target")),
+        ):
+            for key in keys:
+                del section[key]
+        full = validate_config(cfg)
+        assert channel_config(full) == ChannelConfig(
+            delay=default_delay_distribution(mean_s=0.3), rate_hz=3.5, quantization_step=0.0,
+            seed=1234, emission="jittered-periodic",
+        )
+        assert scenario_config(full) == DisturbanceScenario(
+            kind="state-impulse", magnitude=0.05, start_s=0.0, duration_s=0.0, target="mode-states"
+        )
+        assert pipeline.surrogate_for(full, 0.3) == build_surrogate(
+            0.3, band_hz=(0.1, 2.0), max_phase_err_deg=10.0, max_order=8
+        )
+        assert full["channel"]["campaign_messages"] == 1200
+        assert full["design"]["washout_Tw_s"] == 5.0
 
 
 @pytest.fixture(scope="module")
@@ -222,13 +286,19 @@ class TestArtifactRoundTrip:
         assert DelaySurrogate.from_dict(fitted) == pipeline.surrogate_for(cfg, mean_s)
 
 
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args`` on the package under test."""
+    src = str(Path(podlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
     """Every console-script stage imports podlab.cli; scipy.signal, and the
     scipy.stats it imports, would be most of that import, so both load on first use."""
-    src = str(Path(podlab.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, podlab.cli; print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = _python("-c", code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
 
@@ -330,14 +400,21 @@ class TestCliErrors:
 
     def test_negative_seed_console_has_no_traceback(self, workdir, tmp_path):
         _, cfg_path, _ = workdir
-        src = str(Path(podlab.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         argv = ["channel", "measure", "--config", str(cfg_path), "--out", str(tmp_path), "--seed", "-1"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "podlab.cli", *argv], env=env, capture_output=True, text=True
-        )
+        proc = _python("-m", "podlab.cli", *argv)
         assert proc.returncode == 1
         assert proc.stderr == "cli: --seed must be a non-negative integer, got -1\n"
+
+    def test_missing_key_console_has_no_traceback(self, workdir, tmp_path):
+        _, _, cfg = workdir
+        bad = json.loads(json.dumps(cfg))
+        del bad["channel"]["rate_hz"]
+        bad_path = tmp_path / "no_rate.json"
+        bad_path.write_text(json.dumps(bad))
+        argv = ["channel", "measure", "--config", str(bad_path), "--out", str(tmp_path)]
+        proc = _python("-m", "podlab.cli", *argv)
+        assert proc.returncode == 1
+        assert proc.stderr == "cli: missing config key 'channel.rate_hz'\n"
 
     def test_reused_parser_sees_only_each_calls_arguments(self, workdir, tmp_path, monkeypatch):
         _, cfg_path, _ = workdir
