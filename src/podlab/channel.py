@@ -98,33 +98,24 @@ class DelayDistribution:
             kind="truncated-normal", tau_min=low, tau_max=high, mean_s=mean, mu=mu, sigma=sigma
         )
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "tau_min": self.tau_min, "tau_max": self.tau_max,
-             "mean_s": self.mean_s}
-        if self.kind == "empirical-histogram":
-            d["bin_edges"] = list(self.bin_edges)
-            d["bin_probs"] = list(self.bin_probs)
-        elif self.kind == "truncated-normal":
-            d["mu"] = self.mu
-            d["sigma"] = self.sigma
-        return d
+
+# the stand-in histogram's lognormal spread (coefficient of variation),
+# support in seconds and bin count
+_DEFAULT_SPREAD = 0.27
+_DEFAULT_SUPPORT_S = (0.05, 1.5)
+_DEFAULT_BINS = 20
 
 
-def default_delay_distribution(
-    mean_s: float = 0.3,
-    spread: float = 0.27,
-    support: tuple[float, float] = (0.05, 1.5),
-    n_bins: int = 20,
-) -> DelayDistribution:
+def default_delay_distribution(mean_s: float = 0.3) -> DelayDistribution:
     """Right-skewed 20-bin stand-in histogram with an exactly pinned mean.
 
     The shape is a discretised lognormal; the location parameter is solved by
     bisection so the histogram mean (uniform-within-bin convention) equals
     ``mean_s`` to machine precision.
     """
-    edges = np.linspace(support[0], support[1], n_bins + 1)
+    edges = np.linspace(*_DEFAULT_SUPPORT_S, _DEFAULT_BINS + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    s2 = math.log(1.0 + spread**2)
+    s2 = math.log(1.0 + _DEFAULT_SPREAD**2)
 
     def hist_mean(mu: float) -> float:
         pdf = np.exp(-((np.log(centers) - mu) ** 2) / (2.0 * s2)) / centers
@@ -364,30 +355,25 @@ def measure_campaign(
     return DelayLog(tuple((float(i), i + d) for i, d in enumerate(delays)))
 
 
-def throughput_stats(
-    events, window_s: float = 1.0
-) -> tuple[dict[int, float], int]:
-    """Histogram of message counts per window, plus the modal count.
+_WINDOW_S = 1.0  # the counting window of throughput_stats, s
 
-    ``events`` is a DelayLog (arrival times are used) or an array of event
-    times.
-    """
-    if isinstance(events, DelayLog):
-        times = events.t_received
-    else:
-        times = np.asarray(events, dtype=float)
+
+def throughput_stats(events) -> tuple[dict[int, float], int]:
+    """Histogram of message counts per 1 s window, plus the modal count,
+    over an array of event times."""
+    times = np.asarray(events, dtype=float)
     if len(times) == 0:
         raise ChannelError("no events")
     span = times.max() - times.min()
-    if span < 10.0 * window_s:
+    if span < 10.0 * _WINDOW_S:
         raise ChannelError(
-            f"trace spans {span:g} s; need at least {10.0 * window_s:g} s"
+            f"trace spans {span:g} s; need at least {10.0 * _WINDOW_S:g} s"
         )
-    # anchor windows at multiples of window_s so "per second" means calendar
+    # anchor windows at whole seconds so "per second" means calendar
     # seconds, not offsets from the first arrival
-    start = math.floor(times.min() / window_s) * window_s
-    stop = math.ceil(times.max() / window_s) * window_s
-    edges = np.arange(start, stop + 0.5 * window_s, window_s)
+    start = math.floor(times.min() / _WINDOW_S) * _WINDOW_S
+    stop = math.ceil(times.max() / _WINDOW_S) * _WINDOW_S
+    edges = np.arange(start, stop + 0.5 * _WINDOW_S, _WINDOW_S)
     counts = np.histogram(times, bins=edges)[0]
     vals, freq = np.unique(counts, return_counts=True)
     hist = {int(v): float(c) / counts.size for v, c in zip(vals, freq)}

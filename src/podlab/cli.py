@@ -15,50 +15,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, channel as chan, pipeline, poddesign, simloop
+from . import analysis, channel as chan, pipeline, simloop
 from ._csvfmt import format_rows
-from .config import (
-    channel_config,
-    load_config,
-    plant_config,
-    scenario_config,
-)
+from .config import channel_config, load_config, plant_config, scenario_config
 from .delaymodel import DelaySurrogate
-from .errors import (
-    AnalysisError,
-    ChannelError,
-    ConfigError,
-    DelayModelError,
-    DesignError,
-    LtiError,
-    PlantError,
-    PodlabError,
-    SimulationError,
-    SysidError,
-)
+from .errors import ConfigError, PodlabError
 from .lti import series, to_state_space
+from .poddesign import CompensatorDesign
 from .refplant import build_reference_plant
 from .sysid import IdentifiedPlant
 
-_MODULE_PREFIX = [
-    (ConfigError, "cli"),
-    (SimulationError, "simloop"),
-    (AnalysisError, "analysis"),
-    (DesignError, "poddesign"),
-    (SysidError, "sysid"),
-    (DelayModelError, "delaymodel"),
-    (ChannelError, "channel"),
-    (PlantError, "refplant"),
-    (LtiError, "lti-core"),
-    (PodlabError, "podlab"),
-]
-
-
-def _prefix_for(exc: PodlabError) -> str:
-    for cls, name in _MODULE_PREFIX:
-        if isinstance(exc, cls):
-            return name
-    return "podlab"
+# each loop's artifact tag and pipeline name, p before q
+_LOOPS = (("p", "active"), ("q", "reactive"))
 
 
 class _Ctx:
@@ -87,18 +55,38 @@ class _Ctx:
         header = f"# config_sha256={self.hash} seed={seed}"
         (self.out / name).write_text("\n".join([header] + rows) + "\n")
 
-    def read_json(self, name: str) -> dict:
+    def _artifact(self, name: str, stage: str | None = None) -> Path:
+        """The path of an earlier stage's artifact, which must exist."""
         path = self.out / name
         if not path.exists():
-            raise ConfigError(f"required artifact {path} not found; run the earlier stage first")
-        return json.loads(path.read_text())
+            earlier = "the earlier stage" if stage is None else f"'{stage}'"
+            raise ConfigError(f"required artifact {path} not found; run {earlier} first")
+        return path
 
+    def read_json(self, name: str) -> dict:
+        return json.loads(self._artifact(name).read_text())
 
-def _read_csv(path: Path, stage: str) -> np.ndarray:
-    """The numeric rows of a CSV artifact, below its manifest and header."""
-    if not path.exists():
-        raise ConfigError(f"required artifact {path} not found; run '{stage}' first")
-    return np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+    def read_csv(self, name: str, stage: str) -> np.ndarray:
+        """The numeric rows of a CSV artifact, below its manifest and header."""
+        return np.loadtxt(self._artifact(name, stage), delimiter=",", skiprows=2, ndmin=2)
+
+    def identified(self) -> list[IdentifiedPlant]:
+        """The identified p and q paths of ``sysid fit``."""
+        names = [f"identified_{tag}.json" for tag, _ in _LOOPS]
+        return [IdentifiedPlant.from_dict(self.read_json(name)) for name in names]
+
+    def designs(self) -> tuple[list[CompensatorDesign], tuple[float, ...]]:
+        """The p and q designs of ``design run``, and the target modes in Hz."""
+        payloads = [self.read_json(f"design_{tag}.json") for tag, _ in _LOOPS]
+        modes_hz = tuple(w / (2.0 * math.pi) for w in payloads[0]["mode_omegas_rad_s"])
+        return [CompensatorDesign.from_dict(d) for d in payloads], modes_hz
+
+    def surrogate(self) -> DelaySurrogate:
+        """The fitted surrogate of ``channel fit``, else the one the config implies."""
+        path = self.out / "delay_surrogate.json"
+        if path.exists():
+            return DelaySurrogate.from_dict(json.loads(path.read_text()))
+        return pipeline.design_surrogate(self.cfg)
 
 
 def cmd_plant_build(ctx: _Ctx) -> None:
@@ -123,7 +111,7 @@ def cmd_channel_measure(ctx: _Ctx) -> None:
 
 
 def cmd_channel_fit(ctx: _Ctx) -> None:
-    log = _read_csv(ctx.out / "delay_log.csv", "channel measure")
+    log = ctx.read_csv("delay_log.csv", "channel measure")
     delays = log[:, 1] - log[:, 0]
     edges = np.linspace(delays.min(), delays.max() * (1 + 1e-9), 21)
     counts, _ = np.histogram(delays, bins=edges)
@@ -141,7 +129,7 @@ def cmd_channel_fit(ctx: _Ctx) -> None:
 
 def cmd_sysid_prbs(ctx: _Ctx) -> None:
     plant = build_reference_plant(plant_config(ctx.cfg))
-    for loop, tag in (("active", "p"), ("reactive", "q")):
+    for tag, loop in _LOOPS:
         u, y, fs = pipeline.run_prbs_experiment(ctx.cfg, plant, loop)
         rows = format_rows("t_s,u_pu,y_pu", np.arange(len(u)) / fs, u, y)
         ctx.write_csv(f"experiment_{tag}.csv", rows)
@@ -149,27 +137,17 @@ def cmd_sysid_prbs(ctx: _Ctx) -> None:
 
 def cmd_sysid_fit(ctx: _Ctx) -> None:
     fs = ctx.cfg["identification"]["sample_rate_hz"]
-    for tag in ("p", "q"):
-        data = _read_csv(ctx.out / f"experiment_{tag}.csv", "sysid prbs")
+    for tag, _ in _LOOPS:
+        data = ctx.read_csv(f"experiment_{tag}.csv", "sysid prbs")
         ident = pipeline.identify_path(ctx.cfg, data[:, 1], data[:, 2], fs)
         ctx.write_json(f"identified_{tag}.json", ident.to_dict())
 
 
-def _load_surrogate(ctx: _Ctx) -> DelaySurrogate:
-    """The fitted surrogate of ``channel fit``, else the one the config implies."""
-    surrogate_path = ctx.out / "delay_surrogate.json"
-    if surrogate_path.exists():
-        return DelaySurrogate.from_dict(json.loads(surrogate_path.read_text()))
-    return pipeline.design_surrogate(ctx.cfg)
-
-
 def cmd_design_run(ctx: _Ctx) -> None:
-    identified_p = IdentifiedPlant.from_dict(ctx.read_json("identified_p.json"))
-    identified_q = IdentifiedPlant.from_dict(ctx.read_json("identified_q.json"))
-    surrogate = _load_surrogate(ctx)
-    for tag, identified in (("p", identified_p), ("q", identified_q)):
-        loop = "active" if tag == "p" else "reactive"
-        result = pipeline.design_loop(ctx.cfg, identified, surrogate, loop)
+    identified = ctx.identified()
+    surrogate = ctx.surrogate()
+    for (tag, loop), ident in zip(_LOOPS, identified):
+        result = pipeline.design_loop(ctx.cfg, ident, surrogate, loop)
         budget = result.diagnostics.budget
         ctx.write_json(
             f"design_{tag}.json",
@@ -191,52 +169,40 @@ def cmd_design_run(ctx: _Ctx) -> None:
         )
 
 
-def _load_design_stage(ctx: _Ctx):
-    identified_p = IdentifiedPlant.from_dict(ctx.read_json("identified_p.json"))
-    identified_q = IdentifiedPlant.from_dict(ctx.read_json("identified_q.json"))
-    dp_dict = ctx.read_json("design_p.json")
-    dq_dict = ctx.read_json("design_q.json")
-    design_p = poddesign.CompensatorDesign.from_dict(dp_dict)
-    design_q = poddesign.CompensatorDesign.from_dict(dq_dict)
-    surrogate = _load_surrogate(ctx)
-    modes_hz = tuple(w / (2.0 * math.pi) for w in dp_dict["mode_omegas_rad_s"])
-    return identified_p, identified_q, design_p, design_q, surrogate, modes_hz
-
-
 def cmd_analyze_bode(ctx: _Ctx) -> None:
-    identified_p, identified_q, design_p, design_q, surrogate, _ = _load_design_stage(ctx)
+    identified = ctx.identified()
+    designs, _ = ctx.designs()
+    surrogate = ctx.surrogate()
     band = tuple(ctx.cfg["design"]["band_hz"])
-    for tag, identified, design in (
-        ("p", identified_p, design_p),
-        ("q", identified_q, design_q),
-    ):
-        plant_delay = series(surrogate.pade, identified.tf)
+    for (tag, _), ident, design in zip(_LOOPS, identified, designs):
+        plant_delay = series(surrogate.pade, ident.tf)
         g = analysis.open_loop(
             design.compensator_tf(), design.washout_tf(), design.gain,
-            surrogate.pade, identified.tf,
+            surrogate.pade, ident.tf,
         )
         ctx.write_csv(f"bode_plant_delay_{tag}.csv", analysis.bode_table(plant_delay, band, 200))
         ctx.write_csv(f"bode_open_loop_{tag}.csv", analysis.bode_table(g, band, 200))
 
 
 def cmd_analyze_eig(ctx: _Ctx) -> None:
-    identified_p, identified_q, design_p, design_q, surrogate, modes_hz = _load_design_stage(ctx)
-    study_p = analysis.delay_sweep(
-        to_state_space(identified_p.tf), design_p, surrogate, modes_hz
-    )
-    study_q = analysis.delay_sweep(
-        to_state_space(identified_q.tf), design_q, surrogate, modes_hz
-    )
+    identified = ctx.identified()
+    designs, modes_hz = ctx.designs()
+    surrogate = ctx.surrogate()
+    studies = {
+        f"{tag}_loop": analysis.delay_sweep(
+            to_state_space(ident.tf), design, surrogate, modes_hz
+        ).to_dict()
+        for (tag, _), ident, design in zip(_LOOPS, identified, designs)
+    }
     plant = build_reference_plant(plant_config(ctx.cfg))
     combined = analysis.closed_loop_modes_two(
-        plant.A, plant.B_p, plant.B_q, plant.C, design_p, design_q,
+        plant.A, plant.B_p, plant.B_q, plant.C, *designs,
         surrogate, modes_hz, label="both loops, reference plant",
     )
     ctx.write_json(
         "eigen_study.json",
         {
-            "p_loop": study_p.to_dict(),
-            "q_loop": study_q.to_dict(),
+            **studies,
             "combined": {
                 "label": combined.label,
                 "stable": combined.stable,
@@ -249,14 +215,21 @@ def cmd_analyze_eig(ctx: _Ctx) -> None:
     )
 
 
-def cmd_sim_run(ctx: _Ctx) -> None:
-    _, _, design_p, design_q, _, _ = _load_design_stage(ctx)
+def _sim_inputs(ctx: _Ctx) -> tuple:
+    """The plant, p and q designs, channel and scenario of both sim stages."""
+    designs, _ = ctx.designs()
     plant = build_reference_plant(plant_config(ctx.cfg))
-    sim = ctx.cfg["simulation"]
-    trace = simloop.run_closed_loop(
-        plant, design_p, design_q,
+    return (
+        plant, *designs,
         channel_config(ctx.cfg, seed=ctx.channel_seed),
         scenario_config(ctx.cfg),
+    )
+
+
+def cmd_sim_run(ctx: _Ctx) -> None:
+    sim = ctx.cfg["simulation"]
+    trace = simloop.run_closed_loop(
+        *_sim_inputs(ctx),
         seed=ctx.base_seed,
         pod_on=True,
         duration_s=sim["duration_s"],
@@ -266,17 +239,11 @@ def cmd_sim_run(ctx: _Ctx) -> None:
 
 
 def cmd_sim_ensemble(ctx: _Ctx) -> None:
-    _, _, design_p, design_q, _, _ = _load_design_stage(ctx)
-    plant = build_reference_plant(plant_config(ctx.cfg))
     sim = ctx.cfg["simulation"]
     stats = simloop.ensemble(
         sim["n_runs"],
         ctx.base_seed,
-        plant,
-        design_p,
-        design_q,
-        channel_config(ctx.cfg, seed=ctx.channel_seed),
-        scenario_config(ctx.cfg),
+        *_sim_inputs(ctx),
         metric_window=tuple(sim["metric_window_s"]),
         duration_s=sim["duration_s"],
         dt=sim["dt_s"],
@@ -304,22 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="POD controller design laboratory with communication-channel emulation",
     )
     sub = parser.add_subparsers(dest="group", required=True)
-    groups = {
-        "plant": ["build"],
-        "channel": ["measure", "fit"],
-        "sysid": ["prbs", "fit"],
-        "design": ["run"],
-        "analyze": ["bode", "eig"],
-        "sim": ["run", "ensemble"],
-    }
-    for group, actions in groups.items():
-        gp = sub.add_parser(group)
-        gs = gp.add_subparsers(dest="action", required=True)
-        for action in actions:
-            ap = gs.add_parser(action)
-            ap.add_argument("--config", required=True, help="path to the JSON config file")
-            ap.add_argument("--out", default=None, help="output directory (default $PODLAB_OUT)")
-            ap.add_argument("--seed", type=int, default=None, help="override config seeds")
+    actions = {}
+    for group, action in _COMMANDS:
+        if group not in actions:
+            actions[group] = sub.add_parser(group).add_subparsers(dest="action", required=True)
+        ap = actions[group].add_parser(action)
+        ap.add_argument("--config", required=True, help="path to the JSON config file")
+        ap.add_argument("--out", default=None, help="output directory (default $PODLAB_OUT)")
+        ap.add_argument("--seed", type=int, default=None, help="override config seeds")
     return parser
 
 
@@ -335,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         ctx = _Ctx(args)
         _COMMANDS[(args.group, args.action)](ctx)
     except PodlabError as exc:
-        print(f"{_prefix_for(exc)}: {exc}", file=sys.stderr)
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -35,7 +35,7 @@ _FALLBACKS = {
 }
 
 # each delay kind's builder and keys, in the builder's argument order; a
-# key's value here gives only its type
+# key's value here gives only its type, so a list of any length passes
 _DELAY_KINDS = {
     "default-histogram": (default_delay_distribution, {"mean_s": 0.0}),
     "point-mass": (DelayDistribution.point_mass, {"value": 0.0}),
@@ -90,6 +90,8 @@ def _checked(value, default, name: str):
     if isinstance(value, bool) or not isinstance(value, _ACCEPTS[type(default)]):
         raise ConfigError(f"config key {name!r} must be {_TYPE_NAMES[type(default)]}, got {value!r}")
     if isinstance(default, list):
+        if not name.startswith("channel.delay.") and len(value) != len(default):
+            raise ConfigError(f"config key {name!r} must hold {len(default)} items, got {len(value)}")
         for i, item in enumerate(value):
             _checked(item, default[0], f"{name}[{i}]")
     if not isinstance(default, dict):
@@ -115,7 +117,8 @@ def _checked(value, default, name: str):
 def validate_config(cfg: dict) -> dict:
     """A complete copy of ``cfg``: every key the default config has, with
     the omitted optional keys at their fallbacks.  Raises ``ConfigError``
-    naming the key for an unknown, missing or mistyped key."""
+    naming the key for an unknown, missing or mistyped key, or a list of
+    another length than the default's."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
     cfg = _checked(cfg, default_config(), "")

@@ -1,32 +1,35 @@
-"""Exception hierarchy shared by all podlab modules."""
+"""Exception hierarchy shared by all podlab modules; each class's ``prefix``
+names the module that raises it, which starts the CLI's error line."""
 
 
 class PodlabError(Exception):
     """Base class for all domain errors raised by podlab."""
 
+    prefix = "podlab"
+
 
 class LtiError(PodlabError):
-    pass
+    prefix = "lti-core"
 
 
 class PlantError(PodlabError):
-    pass
+    prefix = "refplant"
 
 
 class ChannelError(PodlabError):
-    pass
+    prefix = "channel"
 
 
 class DelayModelError(PodlabError):
-    pass
+    prefix = "delaymodel"
 
 
 class SysidError(PodlabError):
-    pass
+    prefix = "sysid"
 
 
 class DesignError(PodlabError):
-    pass
+    prefix = "poddesign"
 
 
 class NyquistLimitError(DesignError):
@@ -46,12 +49,12 @@ class InfeasibleOperatingPointError(DesignError):
 
 
 class AnalysisError(PodlabError):
-    pass
+    prefix = "analysis"
 
 
 class SimulationError(PodlabError):
-    pass
+    prefix = "simloop"
 
 
 class ConfigError(PodlabError):
-    pass
+    prefix = "cli"

@@ -10,6 +10,7 @@ from . import poddesign, sysid
 from ._sim import zoh_lsim
 from .config import delay_distribution, plant_config, prbs_config
 from .delaymodel import DelaySurrogate, build_surrogate
+from .errors import DesignError
 from .lti import to_state_space
 from .refplant import PlantPair, build_reference_plant
 from .sysid import IdentifiedPlant
@@ -95,6 +96,9 @@ def design_loop(
     loop: str,
 ) -> LoopDesign:
     design_cfg = cfg["design"]
+    grid_cfg = design_cfg["gain_grid"]
+    if grid_cfg["n"] < 1:
+        raise DesignError(f"design.gain_grid.n must be at least 1, got {grid_cfg['n']}")
     modes = sysid.find_modes(identified, band_hz=tuple(design_cfg["band_hz"]))
     limits = poddesign.power_limits(poddesign.LimitsInput(**design_cfg["limits"]))
     limit = limits[0] if loop == "active" else limits[1]
@@ -107,7 +111,6 @@ def design_loop(
         washout_Tw_s=design_cfg["washout_Tw_s"],
         limit_pu=limit,
     )
-    grid_cfg = design_cfg["gain_grid"]
     K_grid = np.geomspace(grid_cfg["lo"], grid_cfg["hi"], grid_cfg["n"])
     target_hz = tuple(w / (2.0 * math.pi) for w in modes)
     gain = poddesign.select_gain(

@@ -41,6 +41,8 @@ _DOGLEG_TOL = 1e-10
 _RADIUS_FLOOR = 1e-12
 _JACOBIAN_REL_STEP = 1e-6
 _N_STARTS = 8
+# the band over which _gain_slope compares compensator gains, Hz
+_SLOPE_BAND_HZ = (0.1, 2.0)
 # the clamp box as 0-d arrays: a Python float bound is converted on every call
 _T_MIN_0D = np.array(T_MIN)
 _T_MAX_0D = np.array(T_MAX)
@@ -326,10 +328,10 @@ class DesignDiagnostics:
     budget: PhaseBudget
 
 
-def _gain_slope(Ts, band_hz=(0.1, 2.0)) -> float:
+def _gain_slope(Ts) -> float:
     tf = leadlag_tf(*Ts)
-    lo = abs(tf(2j * math.pi * band_hz[0]))
-    hi = abs(tf(2j * math.pi * band_hz[1]))
+    lo = abs(tf(2j * math.pi * _SLOPE_BAND_HZ[0]))
+    hi = abs(tf(2j * math.pi * _SLOPE_BAND_HZ[1]))
     return abs(math.log10(hi) - math.log10(lo))
 
 
@@ -432,8 +434,8 @@ def select_gain(
     only for a candidate that decides: stable at K and better than the best
     so far.  A candidate whose eigen study raises AnalysisError or
     LinAlgError is skipped; a 2K study that is not run cannot skip its
-    candidate.  DesignError is raised when every non-zero candidate is
-    skipped.
+    candidate.  DesignError is raised when the grid holds no non-zero
+    candidate, or when every non-zero candidate is skipped.
     """
     from .analysis import closed_loop_modes  # local import avoids a cycle
 
@@ -442,11 +444,13 @@ def select_gain(
     K_grid = np.asarray(K_grid, dtype=float)
     if np.any(K_grid < 0) or np.any(np.diff(K_grid) <= 0):
         raise DesignError("K_grid must be ascending and non-negative")
+    candidates = K_grid[K_grid != 0.0]
+    if not len(candidates):
+        raise DesignError("K_grid holds no non-zero gain candidate")
 
     best_k = 0.0
     base = closed_loop_modes(plant_ss, design, surrogate, 0.0, target_modes_hz)
     best_score = min(m.damping_ratio for m in base.target_modes)
-    candidates = K_grid[K_grid != 0.0]
     skipped = []
     for K in candidates:
         try:
@@ -467,7 +471,7 @@ def select_gain(
         if margin.stable:
             best_score = score
             best_k = float(K)
-    if len(candidates) and len(skipped) == len(candidates):
+    if len(skipped) == len(candidates):
         raise DesignError(
             f"all {len(skipped)} non-zero gain candidates failed their eigen study; "
             f"first: {skipped[0]}"

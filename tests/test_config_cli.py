@@ -1,3 +1,4 @@
+import argparse
 import functools
 import json
 import operator
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import podlab
-from podlab import cli, pipeline
+from podlab import cli, errors, pipeline
 from podlab.cli import main
 from podlab.channel import ChannelConfig, default_delay_distribution
 from podlab.config import (
@@ -110,6 +111,18 @@ class TestConfigValidation:
             pytest.param("design.gain_grid.n", 40.0, "design.gain_grid.n", id="n-float"),
             pytest.param("channel.rate_hz", "3.5", "channel.rate_hz", id="rate-string"),
             pytest.param("identification.fit_order", True, "identification.fit_order", id="order-bool"),
+            pytest.param("design.band_hz", [0.1], "design.band_hz", id="band-one-item"),
+            pytest.param(
+                "identification.band_hz", [0.1, 1.0, 2.0], "identification.band_hz",
+                id="ident-band-three-items",
+            ),
+            pytest.param(
+                "plant.mode_freqs_hz", [0.45, 0.9, 1.2], "plant.mode_freqs_hz", id="three-modes"
+            ),
+            pytest.param(
+                "simulation.metric_window_s", [1.0], "simulation.metric_window_s",
+                id="window-one-item",
+            ),
         ],
     )
     def test_bad_key_rejected_by_name(self, key, value, named):
@@ -122,6 +135,15 @@ class TestConfigValidation:
             section[leaf] = value
         with pytest.raises(ConfigError, match=re.escape(f"'{named}'")):
             validate_config(cfg)
+
+    def test_histogram_bins_are_data(self):
+        edges = np.linspace(0.05, 1.5, 21)
+        cfg = default_config()
+        cfg["channel"]["delay"] = {
+            "kind": "empirical-histogram", "bin_edges": list(edges), "bin_probs": [0.05] * 20,
+        }
+        dist = delay_distribution(validate_config(cfg))
+        assert list(dist.bin_edges) == list(edges) and len(dist.bin_probs) == 20
 
     def test_default_config_calls_are_independent(self):
         a, b = default_config(), default_config()
@@ -238,12 +260,30 @@ class TestCliPipeline:
         assert (pipeline_out / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
     @pytest.mark.parametrize("name", ["experiment_p.csv", "experiment_q.csv", "delay_log.csv"])
-    def test_csv_parse_equals_per_value_float(self, pipeline_out, name):
+    def test_csv_parse_equals_per_value_float(self, workdir, pipeline_out, name):
+        _, cfg_path, _ = workdir
         path = pipeline_out / name
         rows = [r for r in path.read_text().splitlines() if r and not r.startswith("#")]
         expect = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
-        got = cli._read_csv(path, "earlier stage")
+        ctx = cli._Ctx(argparse.Namespace(config=str(cfg_path), out=str(pipeline_out), seed=None))
+        got = ctx.read_csv(name, "earlier stage")
         assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize(
+        "stage, name",
+        [(["sim", "run"], "trace.csv"), (["sim", "ensemble"], "ensemble.json")],
+        ids=["sim-run", "sim-ensemble"],
+    )
+    def test_sim_stages_read_only_the_designs(self, workdir, pipeline_out, tmp_path, stage, name):
+        _, cfg_path, _ = workdir
+        full, designs_only = tmp_path / "full", tmp_path / "designs_only"
+        shutil.copytree(pipeline_out, full)
+        designs_only.mkdir()
+        for tag in ("p", "q"):
+            shutil.copy(pipeline_out / f"design_{tag}.json", designs_only)
+        for out in (full, designs_only):
+            assert main(stage + ["--config", str(cfg_path), "--out", str(out)]) == 0
+        assert (designs_only / name).read_bytes() == (full / name).read_bytes()
 
 
 def _round_trip(x):
@@ -302,6 +342,59 @@ def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+# the CLI line prefix of each error class
+_PREFIXES = {
+    errors.PodlabError: "podlab",
+    errors.LtiError: "lti-core",
+    errors.PlantError: "refplant",
+    errors.ChannelError: "channel",
+    errors.DelayModelError: "delaymodel",
+    errors.SysidError: "sysid",
+    errors.DesignError: "poddesign",
+    errors.NyquistLimitError: "poddesign",
+    errors.InfeasibleOperatingPointError: "poddesign",
+    errors.AnalysisError: "analysis",
+    errors.SimulationError: "simloop",
+    errors.ConfigError: "cli",
+}
+
+
+@pytest.mark.parametrize("cls", _PREFIXES, ids=lambda cls: cls.__name__)
+def test_error_class_prefix(cls):
+    assert cls.prefix == _PREFIXES[cls]
+
+
+def test_every_error_class_has_a_prefix_row():
+    classes = {
+        x for x in vars(errors).values() if isinstance(x, type) and issubclass(x, errors.PodlabError)
+    }
+    assert classes == set(_PREFIXES)
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestCliParser:
+    def test_parser_accepts_exactly_the_command_pairs(self):
+        parser = cli.build_parser()
+        accepted = {
+            (group, action)
+            for group, actions in _subcommands(parser).items()
+            for action in _subcommands(actions)
+        }
+        assert accepted == set(cli._COMMANDS)
+        for group, action in cli._COMMANDS:
+            args = parser.parse_args([group, action, "--config", "c.json"])
+            assert (args.group, args.action) == (group, action)
+
+    def test_parser_follows_the_command_table(self, monkeypatch):
+        monkeypatch.setitem(cli._COMMANDS, ("plant", "inspect"), cli.cmd_plant_build)
+        args = cli.build_parser().parse_args(["plant", "inspect", "--config", "c.json"])
+        assert (args.group, args.action) == ("plant", "inspect")
+
+
 class TestCliErrors:
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -351,6 +444,18 @@ class TestCliErrors:
         rc = main(["design", "run", "--config", str(slow_path), "--out", str(out)])
         assert rc == 1
         assert "NY-LIMIT" in capsys.readouterr().err
+
+    def test_empty_gain_grid_reported(self, workdir, pipeline_out, tmp_path, capsys):
+        _, _, cfg = workdir
+        bad = json.loads(json.dumps(cfg))
+        bad["design"]["gain_grid"]["n"] = 0
+        bad_path = tmp_path / "no_gains.json"
+        bad_path.write_text(json.dumps(bad))
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        rc = main(["design", "run", "--config", str(bad_path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "poddesign: design.gain_grid.n must be at least 1, got 0\n"
 
     @pytest.mark.parametrize("stage", [["sim", "run"], ["sim", "ensemble"]])
     def test_zero_step_reported(self, workdir, pipeline_out, tmp_path, capsys, stage):

@@ -299,6 +299,18 @@ class TestSelectGain:
             select_gain(plant.p_path, ld.design, surrogate, (0.45, 0.90),
                         K_grid=np.array([2.0, 1.0]))
 
+    def test_grid_without_nonzero_candidate_rejected(self, plant, surrogate, loop_designs):
+        with pytest.raises(DesignError, match="no non-zero gain candidate"):
+            select_gain(plant.p_path, loop_designs[0].design, surrogate, (0.45, 0.90),
+                        K_grid=np.array([0.0]))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_config_grid_rejected(self, cfg, identified, surrogate, n):
+        bad = copy.deepcopy(cfg)
+        bad["design"]["gain_grid"]["n"] = n
+        with pytest.raises(DesignError, match=f"design.gain_grid.n must be at least 1, got {n}"):
+            pipeline.design_both(bad, *identified, surrogate)
+
     def test_all_infeasible_grid_falls_back_to_zero(self, plant, surrogate, loop_designs):
         ld = loop_designs[0]
         K = select_gain(plant.p_path, ld.design, surrogate, (0.45, 0.90),
