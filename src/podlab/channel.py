@@ -19,6 +19,7 @@ __all__ = [
     "ChannelConfig",
     "DelayLog",
     "default_delay_distribution",
+    "bin_probs",
     "sample_delay",
     "sample_delays",
     "quantize",
@@ -106,7 +107,16 @@ _DEFAULT_SUPPORT_S = (0.05, 1.5)
 _DEFAULT_BINS = 20
 
 
-def default_delay_distribution(mean_s: float = 0.3) -> DelayDistribution:
+def bin_probs(weights: np.ndarray) -> np.ndarray:
+    """Histogram bin probabilities from non-negative bin weights: each
+    weight over their total, with the rounding residual of the sum pushed
+    into the modal bin so the mass is exactly one."""
+    probs = weights / weights.sum()
+    probs[int(np.argmax(probs))] += 1.0 - probs.sum()
+    return probs
+
+
+def default_delay_distribution(mean_s: float) -> DelayDistribution:
     """Right-skewed 20-bin stand-in histogram with an exactly pinned mean.
 
     The shape is a discretised lognormal; the location parameter is solved by
@@ -131,19 +141,15 @@ def default_delay_distribution(mean_s: float = 0.3) -> DelayDistribution:
             hi = mid
     mu = 0.5 * (lo + hi)
     pdf = np.exp(-((np.log(centers) - mu) ** 2) / (2.0 * s2)) / centers
-    probs = pdf / pdf.sum()
-    # re-normalise exactly and push any residual rounding into the modal bin
-    probs[int(np.argmax(probs))] += 1.0 - probs.sum()
-    return DelayDistribution.empirical(edges, probs)
+    return DelayDistribution.empirical(edges, bin_probs(pdf))
 
 
 @dataclass(frozen=True)
 class ChannelConfig:
     delay: DelayDistribution
     rate_hz: float
+    emission: str  # jittered-periodic | poisson
     quantization_step: float = 0.0
-    seed: int = 0
-    emission: str = "jittered-periodic"  # or "poisson"
 
     def __post_init__(self):
         if not self.rate_hz > 0:
@@ -152,7 +158,6 @@ class ChannelConfig:
             raise ChannelError("quantization_step must be non-negative")
         if self.emission not in ("jittered-periodic", "poisson"):
             raise ChannelError(f"unknown emission mode {self.emission!r}")
-        require_seed(self.seed, "seed", ChannelError)
 
 
 @dataclass(frozen=True)
@@ -271,9 +276,8 @@ class ChannelInstance:
     receiver holds the last applied value.
     """
 
-    def __init__(self, cfg: ChannelConfig, duration_s: float, rng: np.random.Generator | None = None):
+    def __init__(self, cfg: ChannelConfig, duration_s: float, rng: np.random.Generator):
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed) if rng is None else rng
         self.t_send = _emission_times(cfg, duration_s, rng)
         self.t_arrive = self.t_send + sample_delays(cfg.delay, rng, len(self.t_send))
         self._values = np.zeros_like(self.t_send)
@@ -344,14 +348,13 @@ def require_seed(seed, name: str, error: type[Exception]) -> None:
         raise error(f"{name} must be a non-negative integer, got {seed!r}")
 
 
-def measure_campaign(
-    cfg: ChannelConfig, n_messages: int, rng: np.random.Generator | None = None
-) -> DelayLog:
-    """Delay-measurement campaign: one message per second, n_messages total."""
+def measure_campaign(cfg: ChannelConfig, n_messages: int, seed: int) -> DelayLog:
+    """Delay-measurement campaign: one message per second, n_messages total,
+    with the delays drawn from a generator seeded with ``seed``."""
     if n_messages < 1:
         raise ChannelError("n_messages must be >= 1")
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    delays = sample_delays(cfg.delay, rng, n_messages).tolist()
+    require_seed(seed, "seed", ChannelError)
+    delays = sample_delays(cfg.delay, np.random.default_rng(seed), n_messages).tolist()
     return DelayLog(tuple((float(i), i + d) for i, d in enumerate(delays)))
 
 

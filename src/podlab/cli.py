@@ -104,9 +104,8 @@ def cmd_plant_build(ctx: _Ctx) -> None:
 
 
 def cmd_channel_measure(ctx: _Ctx) -> None:
-    cfg = channel_config(ctx.cfg, seed=ctx.channel_seed)
     n = ctx.cfg["channel"]["campaign_messages"]
-    log = chan.measure_campaign(cfg, n)
+    log = chan.measure_campaign(channel_config(ctx.cfg), n, ctx.channel_seed)
     ctx.write_csv("delay_log.csv", log.csv_rows(), seed=ctx.channel_seed)
 
 
@@ -114,9 +113,7 @@ def cmd_channel_fit(ctx: _Ctx) -> None:
     log = ctx.read_csv("delay_log.csv", "channel measure")
     delays = log[:, 1] - log[:, 0]
     edges = np.linspace(delays.min(), delays.max() * (1 + 1e-9), 21)
-    counts, _ = np.histogram(delays, bins=edges)
-    probs = counts / counts.sum()
-    probs[int(np.argmax(probs))] += 1.0 - probs.sum()
+    probs = chan.bin_probs(np.histogram(delays, bins=edges)[0])
     dist = chan.DelayDistribution.empirical(edges, probs)
     ctx.write_json(
         "delay_histogram.json",
@@ -221,7 +218,7 @@ def _sim_inputs(ctx: _Ctx) -> tuple:
     plant = build_reference_plant(plant_config(ctx.cfg))
     return (
         plant, *designs,
-        channel_config(ctx.cfg, seed=ctx.channel_seed),
+        channel_config(ctx.cfg),
         scenario_config(ctx.cfg),
     )
 

@@ -7,6 +7,7 @@ delay kind in ``_DELAY_KINDS``.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -147,16 +148,15 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _filled(cls, section: dict):
+    """A ``cls`` dataclass whose every field takes the section's key of its
+    name, a list as a tuple."""
+    values = {f.name: section[f.name] for f in dataclasses.fields(cls)}
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+
+
 def plant_config(cfg: dict) -> PlantConfig:
-    p = cfg["plant"]
-    return PlantConfig(
-        mode_freqs_hz=tuple(p["mode_freqs_hz"]),
-        damping_ratios=tuple(p["damping_ratios"]),
-        p_residue_phases_deg=tuple(p["p_residue_phases_deg"]),
-        q_residue_phases_deg=tuple(p["q_residue_phases_deg"]),
-        residual_corner_hz=p["residual_corner_hz"],
-        residual_gain=p["residual_gain"],
-    )
+    return _filled(PlantConfig, cfg["plant"])
 
 
 def delay_distribution(cfg: dict) -> DelayDistribution:
@@ -165,33 +165,13 @@ def delay_distribution(cfg: dict) -> DelayDistribution:
     return build(*(d[key] for key in keys))
 
 
-def channel_config(cfg: dict, seed: int | None = None) -> ChannelConfig:
-    c = cfg["channel"]
-    return ChannelConfig(
-        delay=delay_distribution(cfg),
-        rate_hz=c["rate_hz"],
-        quantization_step=c["quantization_step"],
-        seed=c["seed"] if seed is None else seed,
-        emission=c["emission"],
-    )
+def channel_config(cfg: dict) -> ChannelConfig:
+    return _filled(ChannelConfig, {**cfg["channel"], "delay": delay_distribution(cfg)})
 
 
 def prbs_config(cfg: dict) -> PrbsConfig:
-    ident = cfg["identification"]
-    return PrbsConfig(
-        register_bits=ident["register_bits"],
-        chip_period_s=ident["chip_period_s"],
-        amplitude_pu=ident["amplitude_pu"],
-        duration_s=ident["duration_s"],
-    )
+    return _filled(PrbsConfig, cfg["identification"])
 
 
 def scenario_config(cfg: dict) -> DisturbanceScenario:
-    s = cfg["simulation"]["scenario"]
-    return DisturbanceScenario(
-        kind=s["kind"],
-        magnitude=s["magnitude"],
-        start_s=s["start_s"],
-        duration_s=s["duration_s"],
-        target=s["target"],
-    )
+    return _filled(DisturbanceScenario, cfg["simulation"]["scenario"])

@@ -90,9 +90,9 @@ def validate_surrogate(
 
 def build_surrogate(
     theta_s: float,
-    band_hz: tuple[float, float] = (0.1, 2.0),
-    max_phase_err_deg: float = 10.0,
-    max_order: int = 8,
+    band_hz: tuple[float, float],
+    max_phase_err_deg: float,
+    max_order: int,
 ) -> DelaySurrogate:
     """Escalate the Pade order of e^{-s*theta_s} until the phase criterion
     holds on the band."""

@@ -96,9 +96,13 @@ def design_loop(
     loop: str,
 ) -> LoopDesign:
     design_cfg = cfg["design"]
-    grid_cfg = design_cfg["gain_grid"]
-    if grid_cfg["n"] < 1:
-        raise DesignError(f"design.gain_grid.n must be at least 1, got {grid_cfg['n']}")
+    n, lo, hi = (design_cfg["gain_grid"][key] for key in ("n", "lo", "hi"))
+    if n < 1:
+        raise DesignError(f"design.gain_grid.n must be at least 1, got {n}")
+    if not lo > 0:
+        raise DesignError(f"design.gain_grid.lo must be positive, got {lo}")
+    if n > 1 and not hi > lo:
+        raise DesignError(f"design.gain_grid.hi must exceed design.gain_grid.lo = {lo}, got {hi}")
     modes = sysid.find_modes(identified, band_hz=tuple(design_cfg["band_hz"]))
     limits = poddesign.power_limits(poddesign.LimitsInput(**design_cfg["limits"]))
     limit = limits[0] if loop == "active" else limits[1]
@@ -111,7 +115,7 @@ def design_loop(
         washout_Tw_s=design_cfg["washout_Tw_s"],
         limit_pu=limit,
     )
-    K_grid = np.geomspace(grid_cfg["lo"], grid_cfg["hi"], grid_cfg["n"])
+    K_grid = np.geomspace(lo, hi, n)
     target_hz = tuple(w / (2.0 * math.pi) for w in modes)
     gain = poddesign.select_gain(
         to_state_space(identified.tf), design, surrogate, target_hz, K_grid

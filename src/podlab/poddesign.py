@@ -341,7 +341,8 @@ def design_compensator(
     modes: tuple[float, float],
     channel_rate_hz: float,
     loop: str = "active",
-    washout_Tw_s: float = 5.0,
+    *,
+    washout_Tw_s: float,
     limit_pu: float = 0.0,
 ) -> tuple[CompensatorDesign, DesignContext, DesignDiagnostics]:
     """Solve for the lead-lag time constants that zero the open-loop phases.
@@ -424,7 +425,7 @@ def select_gain(
     design: CompensatorDesign,
     surrogate: DelaySurrogate,
     target_modes_hz: tuple[float, float],
-    K_grid: np.ndarray | None = None,
+    K_grid: np.ndarray,
 ) -> float:
     """Pick the gain maximizing the minimum target-mode damping ratio.
 
@@ -439,8 +440,6 @@ def select_gain(
     """
     from .analysis import closed_loop_modes  # local import avoids a cycle
 
-    if K_grid is None:
-        K_grid = np.geomspace(1e-2, 1e2, 40)
     K_grid = np.asarray(K_grid, dtype=float)
     if np.any(K_grid < 0) or np.any(np.diff(K_grid) <= 0):
         raise DesignError("K_grid must be ascending and non-negative")

@@ -26,13 +26,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlantConfig:
-    mode_freqs_hz: tuple[float, float] = (0.45, 0.90)
-    damping_ratios: tuple[float, float] = (0.02, 0.03)
+    mode_freqs_hz: tuple[float, float]
+    damping_ratios: tuple[float, float]
     # per-path phase of each modal term at its resonant frequency
-    p_residue_phases_deg: tuple[float, float] = (8.6, 88.0)
-    q_residue_phases_deg: tuple[float, float] = (-10.0, 72.0)
-    residual_corner_hz: float = 3.0
-    residual_gain: float = 0.2
+    p_residue_phases_deg: tuple[float, float]
+    q_residue_phases_deg: tuple[float, float]
+    residual_corner_hz: float
+    residual_gain: float
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,9 @@ class PlantPair:
 class DisturbanceScenario:
     kind: str  # state-impulse | input-step-pulse
     magnitude: float
-    start_s: float = 0.0
-    duration_s: float = 0.0
-    target: str = "mode-states"  # p-input | q-input | mode-states
+    start_s: float
+    duration_s: float
+    target: str  # p-input | q-input | mode-states
 
     def __post_init__(self):
         if self.magnitude == 0:
@@ -119,7 +119,7 @@ def _mode_input(
     return np.array([b1, b2])
 
 
-def build_reference_plant(cfg: PlantConfig = PlantConfig()) -> PlantPair:
+def build_reference_plant(cfg: PlantConfig) -> PlantPair:
     """Construct the two-mode surrogate with shared modes, distinct residues."""
     f1, f2 = cfg.mode_freqs_hz
     for f in (f1, f2):

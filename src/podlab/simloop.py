@@ -308,8 +308,9 @@ def run_closed_loop(
     scenario: DisturbanceScenario,
     seed: int,
     pod_on: bool = True,
-    duration_s: float = 30.0,
-    dt: float = 1e-3,
+    *,
+    duration_s: float,
+    dt: float,
     participation: Participation = Participation(),
 ) -> SimTrace:
     """One seeded closed-loop transient: the one-run case of the lockstep
@@ -396,8 +397,8 @@ def ensemble(
     channel_cfg: ChannelConfig,
     scenario: DisturbanceScenario,
     metric_window: tuple[float, float],
-    duration_s: float = 30.0,
-    dt: float = 1e-3,
+    duration_s: float,
+    dt: float,
     participation: Participation = Participation(),
 ) -> EnsembleStats:
     """Seeded Monte-Carlo ensemble; run i uses seed base_seed + i.

@@ -49,10 +49,10 @@ _FIT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PrbsConfig:
-    register_bits: int = 10
-    chip_period_s: float = 0.1
-    amplitude_pu: float = 0.05
-    duration_s: float = 600.0
+    register_bits: int
+    chip_period_s: float
+    amplitude_pu: float
+    duration_s: float
 
     def __post_init__(self):
         if not 3 <= self.register_bits <= 16:
@@ -86,7 +86,7 @@ def prbs_chips(register_bits: int) -> np.ndarray:
     return chips
 
 
-def gen_prbs(cfg: PrbsConfig, sample_rate_hz: float = 100.0) -> np.ndarray:
+def gen_prbs(cfg: PrbsConfig, sample_rate_hz: float) -> np.ndarray:
     """Sampled PRBS: chips held for chip_period_s each, repeated to duration.
 
     A chip must span a whole number of samples.  Sample k then lies in chip
@@ -226,7 +226,7 @@ def _den_from_poles(poles: np.ndarray) -> np.ndarray:
     return asc / asc[0]
 
 
-def fit_rational(freqs_hz: np.ndarray, H: np.ndarray, order: int = 6) -> IdentifiedPlant:
+def fit_rational(freqs_hz: np.ndarray, H: np.ndarray, order: int) -> IdentifiedPlant:
     """Sanathanan-Koerner iterated weighted least-squares rational fit of the
     response ``H`` sampled at ``freqs_hz``.
 

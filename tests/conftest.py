@@ -2,7 +2,7 @@
 import pytest
 
 from podlab import pipeline
-from podlab.config import default_config
+from podlab.config import default_config, plant_config
 from podlab.refplant import build_reference_plant
 
 
@@ -13,7 +13,7 @@ def cfg():
 
 @pytest.fixture(scope="session")
 def plant(cfg):
-    return build_reference_plant()
+    return build_reference_plant(plant_config(cfg))
 
 
 @pytest.fixture(scope="session")

@@ -54,24 +54,28 @@ def test_acceptance_1_delay_surrogate():
         assert elapsed < 1.0, f"surrogate validation took {elapsed:.2f} s"
 
 
-def test_acceptance_2_nyquist_guard(identified, surrogate):
+def test_acceptance_2_nyquist_guard(cfg, identified, surrogate):
     with _verdict(2, "channel bandwidth limit"):
         assert nyquist_limit(3.2) == 1.6
         idp, _ = identified
         modes = (2.0 * math.pi * 0.45, 2.0 * math.pi * 1.9)
         with pytest.raises(NyquistLimitError, match="NY-LIMIT"):
-            design_compensator(idp, surrogate, modes, channel_rate_hz=3.2)
+            design_compensator(
+                idp, surrogate, modes, channel_rate_hz=3.2,
+                washout_Tw_s=cfg["design"]["washout_Tw_s"],
+            )
 
 
 def test_acceptance_3_channel_statistics(cfg):
     with _verdict(3, "channel statistics"):
         t0 = time.perf_counter()
         chan = channel_config(cfg)
-        log = measure_campaign(chan, 10_000)
+        seed = cfg["channel"]["seed"]
+        log = measure_campaign(chan, 10_000, seed)
         mean = float(np.mean(log.delays))
         assert abs(mean - 0.3) / 0.3 < 0.02, f"mean delay {mean:.4f} s off by >2%"
         # throughput at the emulated 3.5 msg/s jittered-periodic emission
-        inst = ChannelInstance(chan, duration_s=600.0)
+        inst = ChannelInstance(chan, duration_s=600.0, rng=np.random.default_rng(seed))
         hist, _ = throughput_stats(inst.t_arrive)
         mass = hist.get(3, 0.0) + hist.get(4, 0.0)
         assert mass >= 0.8, f"throughput mass on 3-4 msg/s is {mass:.3f}"
@@ -186,7 +190,7 @@ def test_acceptance_8_power_limits(cfg, plant, loop_designs):
         dp, dq = (ld.design for ld in loop_designs)
         trace = run_closed_loop(
             plant, dp, dq, channel_config(cfg), scenario_config(cfg), seed=42,
-            duration_s=10.0,
+            duration_s=10.0, dt=cfg["simulation"]["dt_s"],
         )
         assert np.max(np.abs(trace.p_D_sent)) <= dp.limit_pu + 1e-12
         assert np.max(np.abs(trace.q_D_sent)) <= dq.limit_pu + 1e-12

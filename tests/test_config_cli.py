@@ -1,5 +1,7 @@
 import argparse
+import dataclasses
 import functools
+import inspect
 import json
 import operator
 import os
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import podlab
-from podlab import cli, errors, pipeline
+from podlab import cli, config, errors, pipeline, poddesign, refplant, simloop, sysid
 from podlab.cli import main
 from podlab.channel import ChannelConfig, default_delay_distribution
 from podlab.config import (
@@ -165,7 +167,7 @@ class TestConfigValidation:
         full = validate_config(cfg)
         assert channel_config(full) == ChannelConfig(
             delay=default_delay_distribution(mean_s=0.3), rate_hz=3.5, quantization_step=0.0,
-            seed=1234, emission="jittered-periodic",
+            emission="jittered-periodic",
         )
         assert scenario_config(full) == DisturbanceScenario(
             kind="state-impulse", magnitude=0.05, start_s=0.0, duration_s=0.0, target="mode-states"
@@ -294,8 +296,8 @@ class TestArtifactRoundTrip:
     """``from_dict`` inverts ``to_dict`` through JSON, for the pipeline's
     objects and for the artifacts a CLI chain writes."""
 
-    def test_pipeline_objects(self, identified, surrogate, loop_designs):
-        objects = [*identified, surrogate, build_surrogate(0.0)]
+    def test_pipeline_objects(self, cfg, identified, surrogate, loop_designs):
+        objects = [*identified, surrogate, pipeline.surrogate_for(cfg, 0.0)]
         objects += [ld.design for ld in loop_designs]
         for x in objects:
             assert _round_trip(x) == x
@@ -555,3 +557,78 @@ class TestCliErrors:
         monkeypatch.setenv("PODLAB_OUT", str(target))
         assert main(["plant", "build", "--config", str(cfg_path)]) == 0
         assert (target / "plant.json").exists()
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_section(title: str) -> str:
+    """The text of README.md under a level-2 heading, up to the next one."""
+    return _README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+# every parameter and field that once repeated a value of the packaged
+# config or of config._FALLBACKS: (callable or dataclass, name)
+_NO_DEFAULT = [
+    *(
+        (refplant.PlantConfig, name)
+        for name in (
+            "mode_freqs_hz", "damping_ratios", "p_residue_phases_deg", "q_residue_phases_deg",
+            "residual_corner_hz", "residual_gain",
+        )
+    ),
+    *(
+        (sysid.PrbsConfig, name)
+        for name in ("register_bits", "chip_period_s", "amplitude_pu", "duration_s")
+    ),
+    *((refplant.DisturbanceScenario, name) for name in ("start_s", "duration_s", "target")),
+    (refplant.build_reference_plant, "cfg"),
+    (sysid.gen_prbs, "sample_rate_hz"),
+    (sysid.fit_rational, "order"),
+    *((build_surrogate, name) for name in ("band_hz", "max_phase_err_deg", "max_order")),
+    (poddesign.design_compensator, "washout_Tw_s"),
+    (poddesign.select_gain, "K_grid"),
+    (default_delay_distribution, "mean_s"),
+    *(
+        (fn, name)
+        for fn in (simloop.run_closed_loop, simloop.ensemble)
+        for name in ("duration_s", "dt")
+    ),
+    (ChannelConfig, "emission"),
+]
+
+
+class TestOneCopyOfEachDefault:
+    """Each config value lives in the packaged file or in ``_FALLBACKS``."""
+
+    @pytest.mark.parametrize(
+        "owner, name", _NO_DEFAULT, ids=[f"{owner.__name__}.{name}" for owner, name in _NO_DEFAULT]
+    )
+    def test_no_default(self, owner, name):
+        if dataclasses.is_dataclass(owner):
+            field = {f.name: f for f in dataclasses.fields(owner)}[name]
+            assert field.default is dataclasses.MISSING
+            assert field.default_factory is dataclasses.MISSING
+        else:
+            assert inspect.signature(owner).parameters[name].default is inspect.Parameter.empty
+
+    def test_channel_config_holds_no_seed(self):
+        assert "seed" not in {f.name for f in dataclasses.fields(ChannelConfig)}
+
+    def test_select_gain_takes_the_grid_fifth(self):
+        # the benchmark's tracer reads the grid as select_gain's fifth argument
+        assert list(inspect.signature(poddesign.select_gain).parameters).index("K_grid") == 4
+
+    def test_readme_fallback_table_is_the_fallbacks(self):
+        rows = re.findall(r"^\| `([\w.]+)` \| (.+?) \|$", _readme_section("Configuration"), re.M)
+        table = {key: json.loads(value.replace("`", "").split(" (")[0]) for key, value in rows}
+        assert table == config._FALLBACKS
+        assert [type(v) for v in table.values()] == [type(config._FALLBACKS[k]) for k in table]
+        field = {f.name: f for f in dataclasses.fields(ChannelConfig)}["quantization_step"]
+        assert field.default == config._FALLBACKS["channel.quantization_step"]
+
+    def test_readme_library_example(self):
+        block = re.search(r"```python\n(.*?)```", _readme_section("Library example"), re.S)
+        namespace = {}
+        exec(block.group(1), namespace)
+        assert namespace["stats"].median_ratio <= 0.5

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 
 from podlab.channel import DelayDistribution, default_delay_distribution
 from podlab.delaymodel import (
-    build_surrogate,
     pade_approx,
     validate_surrogate,
 )
+from podlab.pipeline import surrogate_for
 from podlab.errors import DelayModelError
 from podlab.lti import TransferFunction, eigen, to_state_space, unwrapped_phase_deg
 
@@ -86,28 +87,30 @@ class TestSurrogateProperties:
 
 
 class TestBuildSurrogate:
-    def test_escalation_meets_criterion(self):
-        sur = build_surrogate(0.3)
+    def test_escalation_meets_criterion(self, cfg):
+        sur = surrogate_for(cfg, 0.3)
         assert sur.max_phase_err_deg < 10.0
         assert sur.order[0] == sur.order[1] <= 4
         assert sur.theta_s == 0.3
 
-    def test_from_distribution(self):
-        sur = build_surrogate(default_delay_distribution(0.3).mean_s)
+    def test_from_distribution(self, cfg):
+        sur = surrogate_for(cfg, default_delay_distribution(0.3).mean_s)
         assert sur.theta_s == pytest.approx(0.3, abs=1e-9)
 
-    def test_zero_theta(self):
-        sur = build_surrogate(0.0)
+    def test_zero_theta(self, cfg):
+        sur = surrogate_for(cfg, 0.0)
         assert sur.pade == TransferFunction.constant(1.0)
         assert sur.max_phase_err_deg == 0.0
 
-    def test_unreachable_criterion_reported(self):
+    def test_unreachable_criterion_reported(self, cfg):
         # a 5 s delay over a 2-decade band cannot be matched by order <= 2
+        low = copy.deepcopy(cfg)
+        low["design"]["max_pade_order"] = 2
         with pytest.raises(DelayModelError, match="order"):
-            build_surrogate(5.0, max_order=2)
+            surrogate_for(low, 5.0)
 
-    def test_to_dict_roundtrip_fields(self):
-        sur = build_surrogate(0.3)
+    def test_to_dict_roundtrip_fields(self, cfg):
+        sur = surrogate_for(cfg, 0.3)
         d = sur.to_dict()
         assert d["theta_s"] == 0.3
         assert TransferFunction(d["num"], d["den"]) == sur.pade

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -259,11 +260,14 @@ class TestPhaseBudget:
 
 
 class TestDesignCompensator:
-    def test_nyquist_guard(self, identified, surrogate):
+    def test_nyquist_guard(self, cfg, identified, surrogate):
         idp, _ = identified
         modes = (2.0 * math.pi * 0.45, 2.0 * math.pi * 1.9)
         with pytest.raises(NyquistLimitError, match="NY-LIMIT"):
-            design_compensator(idp, surrogate, modes, channel_rate_hz=3.2)
+            design_compensator(
+                idp, surrogate, modes, channel_rate_hz=3.2,
+                washout_Tw_s=cfg["design"]["washout_Tw_s"],
+            )
 
     def test_default_paths_zero_composed_phase(self, identified, surrogate, loop_designs):
         for ident, ld in zip(identified, loop_designs):
@@ -304,11 +308,32 @@ class TestSelectGain:
             select_gain(plant.p_path, loop_designs[0].design, surrogate, (0.45, 0.90),
                         K_grid=np.array([0.0]))
 
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_empty_config_grid_rejected(self, cfg, identified, surrogate, n):
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            pytest.param("n", 0, "design.gain_grid.n must be at least 1, got 0", id="0"),
+            pytest.param("n", -1, "design.gain_grid.n must be at least 1, got -1", id="-1"),
+            pytest.param("lo", 0, "design.gain_grid.lo must be positive, got 0", id="lo-zero"),
+            pytest.param("lo", -1, "design.gain_grid.lo must be positive, got -1", id="lo-negative"),
+            pytest.param(
+                "hi", 0.001, "design.gain_grid.hi must exceed design.gain_grid.lo = 0.01, got 0.001",
+                id="hi-below-lo",
+            ),
+            pytest.param(
+                "hi", 0.01, "design.gain_grid.hi must exceed design.gain_grid.lo = 0.01, got 0.01",
+                id="hi-equal-lo",
+            ),
+        ],
+    )
+    def test_empty_config_grid_rejected(
+        self, cfg, identified, surrogate, monkeypatch, key, value, message
+    ):
+        """A gain grid that np.geomspace cannot build, or that holds no
+        ascending positive gains, is rejected by its key before any design."""
         bad = copy.deepcopy(cfg)
-        bad["design"]["gain_grid"]["n"] = n
-        with pytest.raises(DesignError, match=f"design.gain_grid.n must be at least 1, got {n}"):
+        bad["design"]["gain_grid"][key] = value
+        monkeypatch.setattr(poddesign, "design_compensator", None)
+        with pytest.raises(DesignError, match=re.escape(message)):
             pipeline.design_both(bad, *identified, surrogate)
 
     def test_all_infeasible_grid_falls_back_to_zero(self, plant, surrogate, loop_designs):
@@ -586,7 +611,10 @@ class TestBitwiseReference:
                 for ident in idents:
                     modes = find_modes(ident, band_hz=tuple(c["design"]["band_hz"]))
                     out.append(
-                        design_compensator(ident, sur, modes, c["channel"]["rate_hz"], limit_pu=0.05)
+                        design_compensator(
+                            ident, sur, modes, c["channel"]["rate_hz"],
+                            washout_Tw_s=c["design"]["washout_Tw_s"], limit_pu=0.05,
+                        )
                     )
             return out
 

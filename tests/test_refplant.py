@@ -1,16 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from podlab._sim import zoh_lsim
+from podlab.config import plant_config
 from podlab.errors import PlantError
 from podlab.lti import eigen
 from podlab.refplant import (
     DisturbanceScenario,
-    PlantConfig,
     apply_disturbance,
     build_reference_plant,
+)
+
+KICK = DisturbanceScenario(
+    kind="state-impulse", magnitude=0.05, start_s=0.0, duration_s=0.0, target="mode-states"
 )
 
 
@@ -27,17 +32,17 @@ class TestBuild:
         assert m2.freq_hz == pytest.approx(0.90, abs=1e-9)
         assert m2.damping_ratio == pytest.approx(0.03, abs=1e-9)
 
-    def test_out_of_band_mode_rejected(self):
+    def test_out_of_band_mode_rejected(self, cfg):
         with pytest.raises(PlantError):
-            build_reference_plant(PlantConfig(mode_freqs_hz=(0.45, 2.5)))
+            build_reference_plant(replace(plant_config(cfg), mode_freqs_hz=(0.45, 2.5)))
 
-    def test_overlapping_modes_rejected(self):
+    def test_overlapping_modes_rejected(self, cfg):
         with pytest.raises(PlantError, match="5%"):
-            build_reference_plant(PlantConfig(mode_freqs_hz=(0.90, 0.92)))
+            build_reference_plant(replace(plant_config(cfg), mode_freqs_hz=(0.90, 0.92)))
 
-    def test_damping_out_of_range_rejected(self):
+    def test_damping_out_of_range_rejected(self, cfg):
         with pytest.raises(PlantError):
-            build_reference_plant(PlantConfig(damping_ratios=(0.02, 0.2)))
+            build_reference_plant(replace(plant_config(cfg), damping_ratios=(0.02, 0.2)))
 
     def test_paths_share_mode_pairs(self, plant):
         ep = np.sort_complex(eigen(plant.p_path.A))
@@ -69,18 +74,18 @@ class TestBuild:
 class TestDisturbance:
     def test_zero_magnitude_rejected(self):
         with pytest.raises(PlantError):
-            DisturbanceScenario(kind="state-impulse", magnitude=0.0)
+            replace(KICK, magnitude=0.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(PlantError):
-            DisturbanceScenario(kind="lightning", magnitude=0.1)
+            replace(KICK, kind="lightning", magnitude=0.1)
 
     def test_pulse_needs_duration(self):
         with pytest.raises(PlantError):
-            DisturbanceScenario(kind="input-step-pulse", magnitude=0.1, target="p-input")
+            replace(KICK, kind="input-step-pulse", magnitude=0.1, target="p-input")
 
     def test_state_impulse_excites_both_modes(self, plant):
-        scenario = DisturbanceScenario(kind="state-impulse", magnitude=0.05)
+        scenario = KICK
         dist = apply_disturbance(plant, scenario)
         dt = 1e-3
         n = int(60.0 / dt)
@@ -106,13 +111,14 @@ class TestDisturbance:
 
     def test_bad_pulse_target_rejected(self, plant):
         scenario = DisturbanceScenario(
-            kind="input-step-pulse", magnitude=0.1, duration_s=0.2, target="mode-states"
+            kind="input-step-pulse", magnitude=0.1, start_s=0.0, duration_s=0.2,
+            target="mode-states",
         )
         with pytest.raises(PlantError):
             apply_disturbance(plant, scenario)
 
     def test_determinism(self, plant):
-        scenario = DisturbanceScenario(kind="state-impulse", magnitude=0.05)
+        scenario = KICK
         d1 = apply_disturbance(plant, scenario)
         d2 = apply_disturbance(plant, scenario)
         assert np.array_equal(d1.state_delta, d2.state_delta)
@@ -120,7 +126,7 @@ class TestDisturbance:
 
 class TestFreeResponse:
     def test_decay(self, plant):
-        scenario = DisturbanceScenario(kind="state-impulse", magnitude=0.05)
+        scenario = KICK
         dist = apply_disturbance(plant, scenario)
         dt = 1e-3
         n = int(30.0 / dt)
@@ -131,7 +137,7 @@ class TestFreeResponse:
         assert late < early
 
     def test_fft_recovers_mode_frequencies(self, plant):
-        scenario = DisturbanceScenario(kind="state-impulse", magnitude=0.05)
+        scenario = KICK
         dist = apply_disturbance(plant, scenario)
         dt = 1e-3
         n = int(60.0 / dt)

@@ -175,8 +175,8 @@ class TestNoScipyLapack:
         dp, dq = (ld.design for ld in loop_designs)
         chan, scenario = channel_config(cfg), scenario_config(cfg)
         zoh_lsim(plant.p_path, np.ones(500), 0.01)
-        simloop.run_closed_loop(plant, dp, dq, chan, scenario, seed=0, duration_s=2.0)
-        simloop.ensemble(2, 0, plant, dp, dq, chan, scenario, (0.5, 2.0), duration_s=2.0)
+        simloop.run_closed_loop(plant, dp, dq, chan, scenario, seed=0, duration_s=2.0, dt=1e-3)
+        simloop.ensemble(2, 0, plant, dp, dq, chan, scenario, (0.5, 2.0), duration_s=2.0, dt=1e-3)
 
     def test_package_calls_only_eigvals(self):
         called = set()

@@ -95,7 +95,7 @@ class TestLockstepKernel:
     def test_matches_per_step_reference(self, plant, designs, scenario, delay, emission, q):
         dp, dq = designs
         chan = ChannelConfig(delay=delay, rate_hz=5.0, quantization_step=q, emission=emission)
-        trace = run_closed_loop(plant, dp, dq, chan, scenario, seed=11, duration_s=6.0)
+        trace = run_closed_loop(plant, dp, dq, chan, scenario, seed=11, duration_s=6.0, dt=1e-3)
         model = simloop._loop_model(plant, dp, dq, scenario, 1e-3)
         omega, applied = _reference_run(model, chan, seed=11, duration_s=6.0)
         assert (trace.p_applied_times, trace.q_applied_times) == applied
@@ -107,7 +107,7 @@ class TestLockstepKernel:
         pulse = DisturbanceScenario(
             kind="input-step-pulse", magnitude=0.05, start_s=0.5, duration_s=0.2, target="p-input"
         )
-        trace = run_closed_loop(plant, dp, dq, chan, pulse, seed=4, duration_s=4.0)
+        trace = run_closed_loop(plant, dp, dq, chan, pulse, seed=4, duration_s=4.0, dt=1e-3)
         model = simloop._loop_model(plant, dp, dq, pulse, 1e-3)
         omega, applied = _reference_run(model, chan, seed=4, duration_s=4.0)
         assert (trace.p_applied_times, trace.q_applied_times) == applied
@@ -156,12 +156,12 @@ class TestLockstepKernel:
         # 2B - 2 end a batch and runs B - 1 and 2B - 1 start the next
         dp, dq = designs
         B = simloop._BLOCK_RUNS
-        stats = ensemble(2 * B, 5, plant, dp, dq, chan, scenario, (0.5, 3.0), duration_s=3.0)
+        stats = ensemble(2 * B, 5, plant, dp, dq, chan, scenario, (0.5, 3.0), duration_s=3.0, dt=1e-3)
         for i in (0, B - 2, B - 1, 2 * B - 2, 2 * B - 1):
-            trace = run_closed_loop(plant, dp, dq, chan, scenario, seed=5 + i, duration_s=3.0)
+            trace = run_closed_loop(plant, dp, dq, chan, scenario, seed=5 + i, duration_s=3.0, dt=1e-3)
             assert stats.metrics[i] == damping_metric(trace, (0.5, 3.0)), i
         off = run_closed_loop(
-            plant, dp, dq, chan, scenario, seed=5, pod_on=False, duration_s=3.0
+            plant, dp, dq, chan, scenario, seed=5, pod_on=False, duration_s=3.0, dt=1e-3
         )
         assert stats.baseline_metric == damping_metric(off, (0.5, 3.0))
 
@@ -187,7 +187,7 @@ class TestRunClosedLoop:
     def test_pod_off_equals_free_plant_response(self, plant, designs, chan, scenario):
         dp, dq = designs
         trace = run_closed_loop(
-            plant, dp, dq, chan, scenario, seed=0, pod_on=False, duration_s=10.0
+            plant, dp, dq, chan, scenario, seed=0, pod_on=False, duration_s=10.0, dt=1e-3
         )
         dist = apply_disturbance(plant, scenario)
         dt = 1e-3
@@ -201,7 +201,7 @@ class TestRunClosedLoop:
     def test_transparent_channel_improves_damping(self, plant, designs, scenario):
         dp, dq = designs
         ideal = ChannelConfig(
-            delay=DelayDistribution.point_mass(0.0), rate_hz=50.0, seed=0
+            delay=DelayDistribution.point_mass(0.0), rate_hz=50.0, emission="jittered-periodic"
         )
         # a 50 Hz channel needs a 0.2 ms grid to meet the sampling guard
         on = run_closed_loop(
@@ -216,7 +216,7 @@ class TestRunClosedLoop:
     def test_received_reference_updates_at_channel_rate(self, plant, designs, chan, scenario):
         dp, dq = designs
         trace = run_closed_loop(
-            plant, dp, dq, chan, scenario, seed=3, pod_on=True, duration_s=20.0
+            plant, dp, dq, chan, scenario, seed=3, pod_on=True, duration_s=20.0, dt=1e-3
         )
         # each unit's applied-update count tracks the 3.5 msg/s channel rate
         for times in trace.p_applied_times + trace.q_applied_times:
@@ -226,7 +226,7 @@ class TestRunClosedLoop:
     def test_limiter_invariant(self, plant, designs, chan, scenario):
         dp, dq = designs
         trace = run_closed_loop(
-            plant, dp, dq, chan, scenario, seed=1, pod_on=True, duration_s=10.0
+            plant, dp, dq, chan, scenario, seed=1, pod_on=True, duration_s=10.0, dt=1e-3
         )
         assert np.max(np.abs(trace.p_D_sent)) <= dp.limit_pu + 1e-12
         assert np.max(np.abs(trace.q_D_sent)) <= dq.limit_pu + 1e-12
@@ -236,29 +236,29 @@ class TestRunClosedLoop:
         tiny_p = dataclasses.replace(dp, limit_pu=1e-6)
         tiny_q = dataclasses.replace(dq, limit_pu=1e-6)
         trace = run_closed_loop(
-            plant, tiny_p, tiny_q, chan, scenario, seed=1, pod_on=True, duration_s=10.0
+            plant, tiny_p, tiny_q, chan, scenario, seed=1, pod_on=True, duration_s=10.0, dt=1e-3
         )
         assert np.max(np.abs(trace.p_D_sent)) <= 1e-6 + 1e-15
         assert np.isclose(np.max(np.abs(trace.p_D_sent)), 1e-6)
 
     def test_reproducible_bit_identical(self, plant, designs, chan, scenario):
         dp, dq = designs
-        t1 = run_closed_loop(plant, dp, dq, chan, scenario, seed=7, duration_s=5.0)
-        t2 = run_closed_loop(plant, dp, dq, chan, scenario, seed=7, duration_s=5.0)
+        t1 = run_closed_loop(plant, dp, dq, chan, scenario, seed=7, duration_s=5.0, dt=1e-3)
+        t2 = run_closed_loop(plant, dp, dq, chan, scenario, seed=7, duration_s=5.0, dt=1e-3)
         assert np.array_equal(t1.omega_g_pu, t2.omega_g_pu)
         assert np.array_equal(t1.p_D_recv, t2.p_D_recv)
         assert t1.p_applied_times == t2.p_applied_times
 
     def test_different_seeds_differ(self, plant, designs, chan, scenario):
         dp, dq = designs
-        t1 = run_closed_loop(plant, dp, dq, chan, scenario, seed=7, duration_s=5.0)
-        t2 = run_closed_loop(plant, dp, dq, chan, scenario, seed=8, duration_s=5.0)
+        t1 = run_closed_loop(plant, dp, dq, chan, scenario, seed=7, duration_s=5.0, dt=1e-3)
+        t2 = run_closed_loop(plant, dp, dq, chan, scenario, seed=8, duration_s=5.0, dt=1e-3)
         assert not np.array_equal(t1.p_D_recv, t2.p_D_recv)
 
     def test_coarse_step_rejected(self, plant, designs, chan, scenario):
         dp, dq = designs
         with pytest.raises(SimulationError, match="1 ms"):
-            run_closed_loop(plant, dp, dq, chan, scenario, seed=0, dt=5e-3)
+            run_closed_loop(plant, dp, dq, chan, scenario, seed=0, duration_s=30.0, dt=5e-3)
 
     @pytest.mark.parametrize(
         "dt, duration_s, match",
@@ -283,23 +283,25 @@ class TestRunClosedLoop:
         # a negative seed would reach numpy's SeedSequence and raise there
         dp, dq = designs
         with pytest.raises(SimulationError, match="seed must be a non-negative integer"):
-            run_closed_loop(plant, dp, dq, chan, scenario, seed=seed, duration_s=2.0)
+            run_closed_loop(plant, dp, dq, chan, scenario, seed=seed, duration_s=2.0, dt=1e-3)
         with pytest.raises(SimulationError, match="base_seed must be a non-negative integer"):
-            ensemble(2, seed, plant, dp, dq, chan, scenario, (0.5, 2.0), duration_s=2.0)
+            ensemble(2, seed, plant, dp, dq, chan, scenario, (0.5, 2.0), duration_s=2.0, dt=1e-3)
 
     @pytest.mark.parametrize("duration_s", [math.inf, math.nan])
     def test_non_finite_duration_rejected(self, plant, designs, chan, scenario, duration_s):
         # int(round(inf / dt)) would raise OverflowError
         dp, dq = designs
         with pytest.raises(SimulationError, match="must be finite and positive"):
-            run_closed_loop(plant, dp, dq, chan, scenario, seed=0, duration_s=duration_s)
+            run_closed_loop(plant, dp, dq, chan, scenario, seed=0, duration_s=duration_s, dt=1e-3)
         with pytest.raises(SimulationError, match="must be finite and positive"):
-            ensemble(2, 0, plant, dp, dq, chan, scenario, (0.0, 1.0), duration_s=duration_s)
+            ensemble(2, 0, plant, dp, dq, chan, scenario, (0.0, 1.0), duration_s=duration_s, dt=1e-3)
 
     @pytest.mark.parametrize("pod_on", [True, False])
     def test_channel_faster_than_the_grid_rejected(self, plant, designs, scenario, pod_on):
         dp, dq = designs
-        fast = ChannelConfig(delay=DelayDistribution.point_mass(0.1), rate_hz=20.0, seed=0)
+        fast = ChannelConfig(
+            delay=DelayDistribution.point_mass(0.1), rate_hz=20.0, emission="jittered-periodic"
+        )
         with pytest.raises(ChannelError, match="require >= 2000 Hz"):
             run_closed_loop(
                 plant, dp, dq, fast, scenario, seed=0, pod_on=pod_on, duration_s=2.0, dt=1e-3
@@ -309,7 +311,7 @@ class TestRunClosedLoop:
 
     def test_csv_rows_header(self, plant, designs, chan, scenario):
         dp, dq = designs
-        trace = run_closed_loop(plant, dp, dq, chan, scenario, seed=0, duration_s=2.0)
+        trace = run_closed_loop(plant, dp, dq, chan, scenario, seed=0, duration_s=2.0, dt=1e-3)
         rows = trace.csv_rows()
         assert rows[0] == "t_s,omega_g_pu,pD_sent,pD_recv,qD_sent,qD_recv"
         assert len(rows) == len(trace.t_s) + 1
@@ -319,7 +321,7 @@ class TestDampingMetric:
     def test_zero_trace(self, plant, designs, chan, scenario):
         dp, dq = designs
         quiet = dataclasses.replace(scenario, magnitude=1e-12)
-        trace = run_closed_loop(plant, dp, dq, chan, quiet, seed=0, duration_s=5.0)
+        trace = run_closed_loop(plant, dp, dq, chan, quiet, seed=0, duration_s=5.0, dt=1e-3)
         assert damping_metric(trace, (0.0, 5.0)) == pytest.approx(0.0, abs=1e-20)
 
     def test_decaying_exponential_analytic(self):
@@ -339,7 +341,7 @@ class TestDampingMetric:
 
     def test_empty_window_rejected(self, plant, designs, chan, scenario):
         dp, dq = designs
-        trace = run_closed_loop(plant, dp, dq, chan, scenario, seed=0, duration_s=2.0)
+        trace = run_closed_loop(plant, dp, dq, chan, scenario, seed=0, duration_s=2.0, dt=1e-3)
         with pytest.raises(SimulationError):
             damping_metric(trace, (5.0, 6.0))
 
@@ -384,7 +386,9 @@ class TestEnergyOracle:
         P = scipy.linalg.solve_continuous_lyapunov(A.T, -C.T @ C)
         errors = {}
         for rate_hz, dt in ((50.0, 2e-4), (100.0, 1e-4)):
-            chan = ChannelConfig(delay=DelayDistribution.point_mass(0.0), rate_hz=rate_hz)
+            chan = ChannelConfig(
+                delay=DelayDistribution.point_mass(0.0), rate_hz=rate_hz, emission="jittered-periodic"
+            )
             trace = run_closed_loop(
                 plant, *designs, chan, kick, seed=3, pod_on=pod_on,
                 duration_s=self.DURATION_S, dt=dt,
@@ -415,16 +419,16 @@ class TestEnsemble:
         dp, dq = designs
         stats = ensemble(
             1, 42, plant, dp, dq, chan, scenario, metric_window=(1.0, 10.0),
-            duration_s=10.0,
+            duration_s=10.0, dt=1e-3,
         )
-        trace = run_closed_loop(plant, dp, dq, chan, scenario, seed=42, duration_s=10.0)
+        trace = run_closed_loop(plant, dp, dq, chan, scenario, seed=42, duration_s=10.0, dt=1e-3)
         assert stats.metrics[0] == damping_metric(trace, (1.0, 10.0))
         assert stats.n_runs == 1
 
     def test_bit_identical_repetition(self, plant, designs, chan, scenario):
         dp, dq = designs
-        a = ensemble(3, 42, plant, dp, dq, chan, scenario, (1.0, 10.0), duration_s=10.0)
-        b = ensemble(3, 42, plant, dp, dq, chan, scenario, (1.0, 10.0), duration_s=10.0)
+        a = ensemble(3, 42, plant, dp, dq, chan, scenario, (1.0, 10.0), duration_s=10.0, dt=1e-3)
+        b = ensemble(3, 42, plant, dp, dq, chan, scenario, (1.0, 10.0), duration_s=10.0, dt=1e-3)
         assert a.metrics == b.metrics
         assert a.baseline_metric == b.baseline_metric
 
@@ -432,30 +436,34 @@ class TestEnsemble:
         # run i depends only on base_seed + i, so a short ensemble is a
         # prefix of a longer one
         dp, dq = designs
-        small = ensemble(2, 42, plant, dp, dq, chan, scenario, (1.0, 10.0), duration_s=10.0)
-        big = ensemble(4, 42, plant, dp, dq, chan, scenario, (1.0, 10.0), duration_s=10.0)
+        small = ensemble(2, 42, plant, dp, dq, chan, scenario, (1.0, 10.0), duration_s=10.0, dt=1e-3)
+        big = ensemble(4, 42, plant, dp, dq, chan, scenario, (1.0, 10.0), duration_s=10.0, dt=1e-3)
         assert big.metrics[:2] == small.metrics
 
     def test_pod_reduces_median_energy(self, plant, designs, chan, scenario):
         dp, dq = designs
-        stats = ensemble(5, 42, plant, dp, dq, chan, scenario, (1.0, 15.0), duration_s=15.0)
+        stats = ensemble(5, 42, plant, dp, dq, chan, scenario, (1.0, 15.0), duration_s=15.0, dt=1e-3)
         assert stats.median_ratio < 1.0
 
     def test_zero_runs_rejected(self, plant, designs, chan, scenario):
         dp, dq = designs
         with pytest.raises(SimulationError):
-            ensemble(0, 42, plant, dp, dq, chan, scenario, (1.0, 10.0))
+            ensemble(0, 42, plant, dp, dq, chan, scenario, (1.0, 10.0), duration_s=30.0, dt=1e-3)
 
     def test_zero_delay_beats_design_delay(self, plant, designs, scenario):
         dp, dq = designs
         delayed = ChannelConfig(
-            delay=default_delay_distribution(0.3), rate_hz=3.5, seed=0
+            delay=default_delay_distribution(0.3), rate_hz=3.5, emission="jittered-periodic"
         )
         instant = ChannelConfig(
-            delay=DelayDistribution.point_mass(0.0), rate_hz=3.5, seed=0
+            delay=DelayDistribution.point_mass(0.0), rate_hz=3.5, emission="jittered-periodic"
         )
-        s_inst = ensemble(3, 42, plant, dp, dq, instant, scenario, (1.0, 15.0), duration_s=15.0)
-        s_del = ensemble(3, 42, plant, dp, dq, delayed, scenario, (1.0, 15.0), duration_s=15.0)
+        s_inst = ensemble(
+            3, 42, plant, dp, dq, instant, scenario, (1.0, 15.0), duration_s=15.0, dt=1e-3
+        )
+        s_del = ensemble(
+            3, 42, plant, dp, dq, delayed, scenario, (1.0, 15.0), duration_s=15.0, dt=1e-3
+        )
         # the compensator is designed for 0.3 s, but losing the delay still
         # cannot hurt much; both must damp, delayed within 3x of instant
         assert s_del.median_ratio < 1.0 and s_inst.median_ratio < 1.0
@@ -471,7 +479,7 @@ class TestParticipation:
         dp, dq = designs
         part = Participation(p_units=("battery",), q_units=("statcom",))
         trace = run_closed_loop(
-            plant, dp, dq, chan, scenario, seed=0, duration_s=5.0, participation=part
+            plant, dp, dq, chan, scenario, seed=0, duration_s=5.0, dt=1e-3, participation=part
         )
         assert len(trace.p_applied_times) == 1
         assert len(trace.q_applied_times) == 1
@@ -483,7 +491,9 @@ class TestBlockEdges:
 
     def _assert_matches_reference(self, plant, designs, chan, scenario, duration_s, seed=6):
         dp, dq = designs
-        trace = run_closed_loop(plant, dp, dq, chan, scenario, seed=seed, duration_s=duration_s)
+        trace = run_closed_loop(
+            plant, dp, dq, chan, scenario, seed=seed, duration_s=duration_s, dt=1e-3
+        )
         model = simloop._loop_model(plant, dp, dq, scenario, 1e-3)
         omega, applied = _reference_run(model, chan, seed=seed, duration_s=duration_s)
         assert (trace.p_applied_times, trace.q_applied_times) == applied
@@ -500,7 +510,10 @@ class TestBlockEdges:
 
     @pytest.mark.parametrize("kick_step", [0, 12 * _BLOCK, 12 * _BLOCK + 29])
     def test_kick_on_and_between_block_boundaries(self, plant, designs, chan, kick_step):
-        kick = DisturbanceScenario(kind="state-impulse", magnitude=0.05, start_s=kick_step * 1e-3)
+        kick = DisturbanceScenario(
+            kind="state-impulse", magnitude=0.05, start_s=kick_step * 1e-3, duration_s=0.0,
+            target="mode-states",
+        )
         t_grid = np.arange(2000) * 1e-3
         assert int(np.searchsorted(t_grid, kick.start_s)) == kick_step
         self._assert_matches_reference(plant, designs, chan, kick, 2.0)
@@ -522,7 +535,8 @@ class TestBlockEdges:
     @pytest.mark.parametrize("q", [0.0, 0.002])
     def test_zero_delay_channel(self, plant, designs, scenario, q):
         zero = ChannelConfig(
-            delay=DelayDistribution.point_mass(0.0), rate_hz=5.0, quantization_step=q
+            delay=DelayDistribution.point_mass(0.0), rate_hz=5.0, quantization_step=q,
+            emission="jittered-periodic",
         )
         self._assert_matches_reference(plant, designs, zero, scenario, 3.0)
 
@@ -530,7 +544,7 @@ class TestBlockEdges:
         dp, dq = designs
         early = dataclasses.replace(scenario, start_s=0.3)
         n, window = simloop._BLOCK_RUNS + 3, (0.3, 1.5)
-        stats = ensemble(n, 21, plant, dp, dq, chan, early, window, duration_s=1.5)
+        stats = ensemble(n, 21, plant, dp, dq, chan, early, window, duration_s=1.5, dt=1e-3)
         model = simloop._loop_model(plant, dp, dq, early, 1e-3)
         t_grid = np.arange(1500) * 1e-3
         # the baseline takes row 0 of the first batch, so runs B - 2 and B - 1
@@ -549,10 +563,11 @@ class TestBlockEdges:
         dp, dq = designs
         part = Participation(p_units=("battery",), q_units=("statcom",))
         chan = ChannelConfig(
-            delay=DelayDistribution.point_mass(delay_s), rate_hz=5.0, quantization_step=q
+            delay=DelayDistribution.point_mass(delay_s), rate_hz=5.0, quantization_step=q,
+            emission="jittered-periodic",
         )
         trace = run_closed_loop(
-            plant, dp, dq, chan, scenario, seed=2, duration_s=4.0, participation=part
+            plant, dp, dq, chan, scenario, seed=2, duration_s=4.0, dt=1e-3, participation=part
         )
         (p_sch,), (q_sch,) = simloop._schedules(simloop._channels(chan, 4.0, 2, part), trace.t_s)
         for sch, sent, recv in (

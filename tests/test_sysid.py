@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,11 +47,11 @@ class TestPrbs:
         with pytest.raises(SysidError, match="primitive"):
             prbs_chips(17)
 
-    def test_config_validation(self):
+    def test_config_validation(self, cfg):
         with pytest.raises(SysidError):
-            PrbsConfig(register_bits=2)
+            replace(prbs_config(cfg), register_bits=2)
         with pytest.raises(SysidError):
-            PrbsConfig(chip_period_s=0.0)
+            replace(prbs_config(cfg), chip_period_s=0.0)
 
     def test_flat_spectrum_over_band(self):
         cfg = PrbsConfig(register_bits=10, chip_period_s=0.1, amplitude_pu=1.0,
