@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -90,6 +91,9 @@ def _checked(value, default, name: str):
         return value
     if isinstance(value, bool) or not isinstance(value, _ACCEPTS[type(default)]):
         raise ConfigError(f"config key {name!r} must be {_TYPE_NAMES[type(default)]}, got {value!r}")
+    # json.loads reads the extensions Infinity and NaN as floats
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {name!r} must be finite, got {value!r}")
     if isinstance(default, list):
         if not name.startswith("channel.delay.") and len(value) != len(default):
             raise ConfigError(f"config key {name!r} must hold {len(default)} items, got {len(value)}")

@@ -43,6 +43,10 @@ class NyquistLimitError(DesignError):
             f"Nyquist frequency {f_max_hz:g} Hz"
         )
 
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, here the message
+        return type(self), (self.mode_freq_hz, self.f_max_hz)
+
 
 class InfeasibleOperatingPointError(DesignError):
     pass

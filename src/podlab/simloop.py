@@ -5,7 +5,9 @@ unit; single-transient traces and seeded 50-transient ensembles.
 """
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -375,17 +377,75 @@ def damping_metric(trace: SimTrace, window: tuple[float, float]) -> float:
     return _window_energy(trace.t_s, trace.omega_g_pu, window)
 
 
-def _window_energy(t_s: np.ndarray, omega: np.ndarray, window: tuple[float, float]) -> float:
+def _window(t_s: np.ndarray, window: tuple[float, float]) -> slice:
+    """The indices of the ascending ``t_s`` inside the closed window."""
     t0, t1 = window
-    mask = (t_s >= t0) & (t_s <= t1)
-    if int(np.sum(mask)) < 2:
+    i0, i1 = int(np.searchsorted(t_s, t0, side="left")), int(np.searchsorted(t_s, t1, side="right"))
+    if i1 - i0 < 2:
         raise SimulationError(f"window {window} selects fewer than two samples")
-    return float(np.trapezoid(omega[mask] ** 2, t_s[mask]))
+    return slice(i0, i1)
 
 
-# runs advanced together per kernel call: a batch holds one omega history
-# per run, so wider batches trade memory for fewer Python-level blocks
+def _window_energy(t_s: np.ndarray, omega: np.ndarray, window: tuple[float, float]) -> float:
+    sl = _window(t_s, window)
+    return float(np.trapezoid(omega[sl] ** 2, t_s[sl]))
+
+
+# the most runs advanced together per kernel call: a batch holds one omega
+# history per run, so wider batches trade memory for fewer Python-level blocks
 _BLOCK_RUNS = 17
+
+
+def _batch_energies(
+    model: _LoopModel,
+    t_grid: np.ndarray,
+    window: slice,
+    channel_cfg: ChannelConfig,
+    duration_s: float,
+    participation: Participation,
+    seeds: list,
+) -> list[float]:
+    """The energy over ``t_grid[window]`` of each run in one batch; a seed
+    of None is the POD-off baseline.  Only the energies leave it, so a
+    worker sends back no omega history."""
+    runs = [
+        None if seed is None
+        else _schedules(_channels(channel_cfg, duration_s, seed, participation), t_grid)
+        for seed in seeds
+    ]
+    omega = _lockstep(model, t_grid, runs, channel_cfg.quantization_step)[0][window]
+    return [float(np.trapezoid(w**2, t_grid[window])) for w in omega.T]
+
+
+def _pool_size(n_rows: int) -> int:
+    """Worker processes for an ensemble of ``n_rows`` rows; 1 runs it in-process.
+
+    One per CPU this process may use (its affinity mask, which ``taskset``
+    sets) and at most one per ``_BLOCK_RUNS`` rows.  A platform without the
+    ``fork`` start method or ``os.sched_getaffinity``, and a daemonic caller,
+    which may not have children, get 1.
+    """
+    n_batches = -(-n_rows // _BLOCK_RUNS)
+    if n_batches == 1:
+        return 1
+    import multiprocessing  # on first use: most ensembles are one batch
+
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or not hasattr(os, "sched_getaffinity")
+        or multiprocessing.current_process().daemon
+    ):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_batches)
+
+
+def _batches(rows: list, workers: int) -> list[list]:
+    """``rows`` cut into near-equal consecutive batches of at most
+    ``_BLOCK_RUNS``, in a count that is a multiple of ``workers``."""
+    count = -(-len(rows) // (_BLOCK_RUNS * workers)) * workers
+    size, extra = divmod(len(rows), count)  # the first ``extra`` take one more
+    starts = [i * size + min(i, extra) for i in range(count + 1)]
+    return [rows[a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
 def ensemble(
@@ -403,27 +463,42 @@ def ensemble(
 ) -> EnsembleStats:
     """Seeded Monte-Carlo ensemble; run i uses seed base_seed + i.
 
-    The POD-off baseline and the runs go through the lockstep kernel in
-    batches of ``_BLOCK_RUNS``; each run's metric equals that of
-    ``run_closed_loop`` with its seed, bit for bit.
+    The POD-off baseline and the runs, 1 + n_runs rows, go through the
+    lockstep kernel in near-equal batches of at most ``_BLOCK_RUNS`` rows.
+    The batches run in ``fork`` worker processes, one per CPU the process
+    may use, each on a consecutive share of them, so the energies come back
+    in run order.  A worker gets the loop model, the grid and its share's
+    seeds, and returns only window energies, so no omega history reaches
+    the caller.  One batch, one CPU, a platform without ``fork`` or a
+    daemonic caller runs the batches in-process instead (``_pool_size``).
+    Each run's metric equals that of ``run_closed_loop`` with its seed, bit
+    for bit, in either case, as a run does not depend on its batch (see
+    ``_lockstep``).  The pool's processes are joined before this returns.
     """
     if n_runs < 1:
         raise SimulationError("n_runs must be >= 1")
     require_seed(base_seed, "base_seed", SimulationError)
     t_grid = _time_grid(duration_s, dt, channel_cfg)
+    window = _window(t_grid, metric_window)
     model = _loop_model(plant, design_p, design_q, scenario, dt)
-    seeds = [None] + [base_seed + i for i in range(n_runs)]  # None: the baseline
-    energies = []
-    for b in range(0, len(seeds), _BLOCK_RUNS):
-        runs = [
-            None if seed is None
-            else _schedules(_channels(channel_cfg, duration_s, seed, participation), t_grid)
-            for seed in seeds[b : b + _BLOCK_RUNS]
-        ]
-        omega = _lockstep(model, t_grid, runs, channel_cfg.quantization_step)[0]
-        energies += [_window_energy(t_grid, w, metric_window) for w in omega.T]
-        del omega  # free this batch's history before the next one is made
-    baseline, metrics = energies[0], energies[1:]
+    run_batch = functools.partial(
+        _batch_energies, model, t_grid, window, channel_cfg, duration_s, participation
+    )
+    rows = [None] + [base_seed + i for i in range(n_runs)]  # None: the baseline
+    workers = _pool_size(len(rows))
+    batches = _batches(rows, workers)
+    if workers == 1:
+        per_batch = list(map(run_batch, batches))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: a spawned worker would import numpy and podlab
+        # again, 0.7-1.2 s against some 10-20 ms for a forked pool on a
+        # 2-core VM; leaving the block shuts the pool down and joins it
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            per_batch = list(pool.map(run_batch, batches, chunksize=len(batches) // workers))
+    baseline, *metrics = (e for energies in per_batch for e in energies)
     return EnsembleStats(
         n_runs=n_runs,
         metrics=tuple(metrics),

@@ -3,8 +3,10 @@ import dataclasses
 import functools
 import inspect
 import json
+import math
 import operator
 import os
+import pickle
 import re
 import shutil
 import subprocess
@@ -137,6 +139,24 @@ class TestConfigValidation:
             section[leaf] = value
         with pytest.raises(ConfigError, match=re.escape(f"'{named}'")):
             validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "section, key, value, named",
+        [
+            (("design", "gain_grid"), "hi", math.inf, "design.gain_grid.hi"),
+            (("simulation",), "duration_s", math.nan, "simulation.duration_s"),
+            (("simulation",), "metric_window_s", [1.0, -math.inf], "simulation.metric_window_s[1]"),
+        ],
+        ids=["grid-hi-inf", "duration-nan", "window-end-minus-inf"],
+    )
+    def test_non_finite_number_rejected_by_name(self, tmp_path, section, key, value, named):
+        # json.dumps writes these as Infinity and NaN, which json.loads reads back
+        cfg = default_config()
+        functools.reduce(operator.getitem, section, cfg)[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match=re.escape(f"'{named}' must be finite")):
+            load_config(path)
 
     def test_histogram_bins_are_data(self):
         edges = np.linspace(0.05, 1.5, 21)
@@ -364,6 +384,21 @@ _PREFIXES = {
 @pytest.mark.parametrize("cls", _PREFIXES, ids=lambda cls: cls.__name__)
 def test_error_class_prefix(cls):
     assert cls.prefix == _PREFIXES[cls]
+
+
+# constructor arguments of the error classes that take more than a message
+_ERROR_ARGS = {errors.NyquistLimitError: (0.9, 0.5)}
+
+
+@pytest.mark.parametrize("cls", _PREFIXES, ids=lambda cls: cls.__name__)
+def test_error_survives_pickle(cls):
+    # ensemble workers hand their errors to the parent through pickle
+    err = cls(*_ERROR_ARGS.get(cls, ("some message",)))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls
+    assert str(back) == str(err)
+    assert back.prefix == cls.prefix
+    assert vars(back) == vars(err)
 
 
 def test_every_error_class_has_a_prefix_row():

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import multiprocessing
+import os
+import resource
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from podlab.channel import (
     quantize,
 )
 from podlab.config import channel_config, scenario_config
-from podlab.errors import ChannelError, SimulationError
+from podlab.errors import ChannelError, NyquistLimitError, SimulationError
 from podlab.lti import TransferFunction
 from podlab.refplant import DisturbanceScenario, apply_disturbance
 from podlab.simloop import (
@@ -157,7 +160,12 @@ class TestLockstepKernel:
         dp, dq = designs
         B = simloop._BLOCK_RUNS
         stats = ensemble(2 * B, 5, plant, dp, dq, chan, scenario, (0.5, 3.0), duration_s=3.0, dt=1e-3)
-        for i in (0, B - 2, B - 1, 2 * B - 2, 2 * B - 1):
+        # and the runs on either side of each edge of the batches it ran
+        rows = [None] * (2 * B + 1)
+        batches = simloop._batches(rows, simloop._pool_size(len(rows)))
+        edges = np.cumsum([len(b) for b in batches])[:-1].tolist()
+        fixed = {0, B - 2, B - 1, 2 * B - 2, 2 * B - 1}
+        for i in sorted(fixed | {e - 2 for e in edges} | {e - 1 for e in edges}):
             trace = run_closed_loop(plant, dp, dq, chan, scenario, seed=5 + i, duration_s=3.0, dt=1e-3)
             assert stats.metrics[i] == damping_metric(trace, (0.5, 3.0)), i
         off = run_closed_loop(
@@ -468,6 +476,89 @@ class TestEnsemble:
         # cannot hurt much; both must damp, delayed within 3x of instant
         assert s_del.median_ratio < 1.0 and s_inst.median_ratio < 1.0
         assert s_del.median_ratio < 3.0 * max(s_inst.median_ratio, 1e-6)
+
+
+class TestEnsembleWorkers:
+    """The batches of a wide ensemble run in worker processes."""
+
+    B = simloop._BLOCK_RUNS
+
+    @pytest.mark.parametrize(
+        "n_rows, workers, sizes",
+        [
+            (51, 2, [13, 13, 13, 12]),
+            (51, 1, [17, 17, 17]),
+            (52, 2, [13, 13, 13, 13]),
+            (18, 2, [9, 9]),
+            (18, 1, [9, 9]),
+            (17, 1, [17]),
+            (35, 3, [12, 12, 11]),
+            (5, 1, [5]),
+        ],
+    )
+    def test_batches(self, n_rows, workers, sizes):
+        rows = list(range(n_rows))
+        batches = simloop._batches(rows, workers)
+        assert [len(b) for b in batches] == sizes
+        assert [r for b in batches for r in b] == rows
+
+    def test_pool_size(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        # one per usable CPU, at most one per batch of rows
+        sizes = [simloop._pool_size(n) for n in (1, 17, 18, 51, 52, 69, 200)]
+        assert sizes == [1, 1, 2, 3, 4, 4, 4]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert simloop._pool_size(51) == 1
+
+    def test_no_pool_without_fork_or_in_a_daemon(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert simloop._pool_size(51) == 2
+        with monkeypatch.context() as m:
+            m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            assert simloop._pool_size(51) == 1
+        with monkeypatch.context() as m:
+            m.setattr(multiprocessing.process.BaseProcess, "daemon", property(lambda self: True))
+            assert simloop._pool_size(51) == 1
+
+    def test_serial_and_worker_runs_agree(self, plant, designs, chan, scenario, monkeypatch):
+        dp, dq = designs
+        args = (2 * self.B + 3, 9, plant, dp, dq, chan, scenario, (0.5, 2.0))
+        wide = ensemble(*args, duration_s=2.0, dt=1e-3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert ensemble(*args, duration_s=2.0, dt=1e-3) == wide
+
+    def test_no_process_left_after_a_wide_ensemble(self, plant, designs, chan, scenario):
+        dp, dq = designs
+        n_rows = 2 * self.B + 1
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        ensemble(n_rows - 1, 3, plant, dp, dq, chan, scenario, (0.5, 2.0), duration_s=2.0, dt=1e-3)
+        assert multiprocessing.active_children() == []
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        if simloop._pool_size(n_rows) > 1:
+            # the batches ran in joined children
+            assert after.ru_utime > before.ru_utime
+
+    def test_worker_error_reaches_the_caller(self, plant, designs, chan, scenario, monkeypatch):
+        def fail(*args):
+            raise NyquistLimitError(0.9, 0.5)
+
+        # the workers fork after this, so they call it too
+        monkeypatch.setattr(simloop, "_lockstep", fail)
+        dp, dq = designs
+        with pytest.raises(NyquistLimitError, match="NY-LIMIT: mode at 0.9 Hz") as info:
+            ensemble(
+                2 * self.B, 3, plant, dp, dq, chan, scenario, (0.5, 2.0), duration_s=2.0, dt=1e-3
+            )
+        assert (info.value.mode_freq_hz, info.value.f_max_hz) == (0.9, 0.5)
+        assert multiprocessing.active_children() == []
+
+    def test_window_checked_before_any_batch(self, plant, designs, chan, scenario, monkeypatch):
+        monkeypatch.setattr(simloop, "_batches", None)
+        dp, dq = designs
+        with pytest.raises(SimulationError, match="fewer than two samples"):
+            ensemble(
+                2 * self.B, 3, plant, dp, dq, chan, scenario, (5.0, 6.0), duration_s=2.0, dt=1e-3
+            )
 
 
 class TestParticipation:
