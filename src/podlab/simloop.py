@@ -418,7 +418,8 @@ def _batch_energies(
 
 
 def _pool_size(n_rows: int) -> int:
-    """Worker processes for an ensemble of ``n_rows`` rows; 1 runs it in-process.
+    """Workers for an ensemble of ``n_rows`` rows, the caller included; 1
+    runs it in-process.
 
     One per CPU this process may use (its affinity mask, which ``taskset``
     sets) and at most one per ``_BLOCK_RUNS`` rows.  A platform without the
@@ -465,12 +466,12 @@ def ensemble(
 
     The POD-off baseline and the runs, 1 + n_runs rows, go through the
     lockstep kernel in near-equal batches of at most ``_BLOCK_RUNS`` rows.
-    The batches run in ``fork`` worker processes, one per CPU the process
-    may use, each on a consecutive share of them, so the energies come back
-    in run order.  A worker gets the loop model, the grid and its share's
-    seeds, and returns only window energies, so no omega history reaches
-    the caller.  One batch, one CPU, a platform without ``fork`` or a
-    daemonic caller runs the batches in-process instead (``_pool_size``).
+    The batches run on one worker per CPU the process may use, each on a
+    consecutive share of them, so the energies come back in run order.
+    The caller is the first worker; the others are ``fork`` processes that
+    get the loop model, the grid and their share's seeds, and return only
+    window energies.  One batch, one CPU, a platform without ``fork`` or a
+    daemonic caller runs all the batches in-process (``_pool_size``).
     Each run's metric equals that of ``run_closed_loop`` with its seed, bit
     for bit, in either case, as a run does not depend on its batch (see
     ``_lockstep``).  The pool's processes are joined before this returns.
@@ -495,9 +496,15 @@ def ensemble(
 
         # fork, not spawn: a spawned worker would import numpy and podlab
         # again, 0.7-1.2 s against some 10-20 ms for a forked pool on a
-        # 2-core VM; leaving the block shuts the pool down and joins it
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            per_batch = list(pool.map(run_batch, batches, chunksize=len(batches) // workers))
+        # 2-core VM.  The caller is the first worker: the pool forks when
+        # map submits the other shares, then the caller runs its own, so
+        # its heap sees the same batch arrays as a serial run and later
+        # work in this process allocates as it would after one.  Leaving
+        # the block shuts the pool down and joins it.
+        share = len(batches) // workers
+        with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+            others = pool.map(run_batch, batches[share:], chunksize=share)
+            per_batch = [run_batch(b) for b in batches[:share]] + list(others)
     baseline, *metrics = (e for energies in per_batch for e in energies)
     return EnsembleStats(
         n_runs=n_runs,

@@ -552,6 +552,28 @@ class TestEnsembleWorkers:
         assert (info.value.mode_freq_hz, info.value.f_max_hz) == (0.9, 0.5)
         assert multiprocessing.active_children() == []
 
+    def test_error_in_a_forked_worker_reaches_the_caller(
+        self, plant, designs, chan, scenario, monkeypatch
+    ):
+        if simloop._pool_size(2 * self.B + 1) == 1:
+            pytest.skip("one usable CPU: no worker is forked")
+        caller, lockstep = os.getpid(), simloop._lockstep
+
+        def fail_in_a_child(*args):
+            if os.getpid() != caller:
+                raise NyquistLimitError(0.9, 0.5)
+            return lockstep(*args)
+
+        # the caller's own share runs; the forked worker's raises
+        monkeypatch.setattr(simloop, "_lockstep", fail_in_a_child)
+        dp, dq = designs
+        with pytest.raises(NyquistLimitError) as info:
+            ensemble(
+                2 * self.B, 3, plant, dp, dq, chan, scenario, (0.5, 2.0), duration_s=2.0, dt=1e-3
+            )
+        assert (info.value.mode_freq_hz, info.value.f_max_hz) == (0.9, 0.5)
+        assert multiprocessing.active_children() == []
+
     def test_window_checked_before_any_batch(self, plant, designs, chan, scenario, monkeypatch):
         monkeypatch.setattr(simloop, "_batches", None)
         dp, dq = designs
