@@ -267,11 +267,7 @@ def delay_sweep(
     )
     cases = []
     for d in _SWEEP_DELAYS_S:
-        d_tf = (
-            TransferFunction.constant(1.0)
-            if d == 0.0
-            else pade_approx(d, surrogate.order[0] or 4)
-        )
+        d_tf = pade_approx(d, surrogate.order[0] or 4)
         label = f"delay={d:g}s"
         if abs(d - surrogate.theta_s) < 1e-12:
             label += " (design point)"

@@ -157,7 +157,6 @@ def cmd_design_run(ctx: _Ctx) -> None:
                     "phi_G_deg": list(budget.phi_G_deg),
                 },
                 "residual_norms": list(result.diagnostics.residual_norms),
-                "converged": list(result.diagnostics.converged),
                 "selected_start": result.diagnostics.selected_start,
                 "fnorm": result.diagnostics.fnorm,
                 "fnorm_inf": result.diagnostics.fnorm_inf,

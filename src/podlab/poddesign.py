@@ -40,9 +40,8 @@ T_MAX = 10.0
 _DOGLEG_TOL = 1e-10
 _RADIUS_FLOOR = 1e-12
 _JACOBIAN_REL_STEP = 1e-6
+_MAX_ITER = 200
 _N_STARTS = 8
-# the band over which _gain_slope compares compensator gains, Hz
-_SLOPE_BAND_HZ = (0.1, 2.0)
 # the clamp box as 0-d arrays: a Python float bound is converted on every call
 _T_MIN_0D = np.array(T_MIN)
 _T_MAX_0D = np.array(T_MAX)
@@ -189,16 +188,13 @@ def residual_F(x: np.ndarray, ctx: DesignContext) -> np.ndarray:
             "cross-mode phase denominator under 1 degree; using unnormalized residuals"
         )
         d1 = d2 = 1.0
-    if x.ndim == 1:
-        T = Ts.tolist()
-        return np.array(
-            [(leadlag_phase_deg(T, w1) + p1) / d1, (leadlag_phase_deg(T, w2) + p2) / d2]
-        )
-    points = Ts.T.tolist()
-    return np.array([
+    # a (4,) point is the single column of a (4, 1) array
+    points = Ts.reshape(4, -1).T.tolist()
+    F = np.array([
         [(leadlag_phase_deg(T, w1) + p1) / d1 for T in points],
         [(leadlag_phase_deg(T, w2) + p2) / d2 for T in points],
     ])
+    return F.reshape((2,) + x.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -231,11 +227,12 @@ def _jacobian(fun, x: np.ndarray) -> np.ndarray:
     return J
 
 
-def dogleg_solve(fun, x0, max_iter: int = 200) -> DoglegResult:
+def dogleg_solve(fun, x0) -> DoglegResult:
     """Powell dogleg trust-region solve of fun(x) = 0 in the least-squares sense.
 
     Central-difference Jacobian; returns the best-found point with a
-    non-convergence flag instead of raising when the tolerance is not met.
+    non-convergence flag instead of raising when the tolerance is not met
+    within ``_MAX_ITER`` iterations.
     ``fun`` maps a point of shape ``(n,)`` to its ``m`` residuals, and an
     ``(n, k)`` array of k points, one per column, to an ``(m, k)`` array of
     their residuals, column for column: each Jacobian is one call on 2n
@@ -247,7 +244,7 @@ def dogleg_solve(fun, x0, max_iter: int = 200) -> DoglegResult:
     radius = 1.0
     it = 0
     J = None
-    while it < max_iter:
+    while it < _MAX_ITER:
         it += 1
         if fnorm <= _DOGLEG_TOL:
             return DoglegResult(x, fnorm, True, it - 1)
@@ -320,19 +317,11 @@ def power_limits(inp: LimitsInput) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class DesignDiagnostics:
-    residual_norms: tuple[float, ...]
-    converged: tuple[bool, ...]
+    residual_norms: tuple[float, ...]  # one per start tried, in start order
     selected_start: int
     fnorm: float
     fnorm_inf: float
     budget: PhaseBudget
-
-
-def _gain_slope(Ts) -> float:
-    tf = leadlag_tf(*Ts)
-    lo = abs(tf(2j * math.pi * _SLOPE_BAND_HZ[0]))
-    hi = abs(tf(2j * math.pi * _SLOPE_BAND_HZ[1]))
-    return abs(math.log10(hi) - math.log10(lo))
 
 
 def design_compensator(
@@ -349,7 +338,9 @@ def design_compensator(
 
     The fixed phase at each mode combines the identified plant, the Pade
     delay surrogate and the washout, so the composed loop phase lands on
-    zero.  Gain and limits are filled by the companion operations
+    zero.  The dogleg tries 24 fixed starts in order and keeps the first
+    that converges; when none does, a DesignError lists their residual
+    norms.  Gain and limits are filled by the companion operations
     (``select_gain``, ``power_limits``); the returned design carries
     ``gain=0`` and the given limit.
     """
@@ -372,32 +363,21 @@ def design_compensator(
     # start, which otherwise confines the iterates to a subfamily that can
     # run out of the [T_MIN, T_MAX] box before reaching a zero
     starts = [
-        (v, scale)
+        np.log(np.array([v, v / 3.0, v * scale, v * scale / 3.0]))
         for v in np.geomspace(0.05, 5.0, _N_STARTS)
         for scale in (1.0, 0.25, 4.0)
     ]
-    results = []
-    for v, scale in starts:
-        x0 = np.log(np.array([v, v / 3.0, v * scale, v * scale / 3.0]))
-        results.append(dogleg_solve(lambda x: residual_F(x, ctx), x0))
-    norms = tuple(r.fnorm for r in results)
-    best_norm = min(norms)
-    if not any(r.converged for r in results):
+    norms = []
+    for x0 in starts:
+        r = dogleg_solve(lambda x: residual_F(x, ctx), x0)
+        norms.append(r.fnorm)
+        if r.converged:
+            break
+    else:
         raise DesignError(
             "no dogleg start converged; best residual norms: "
             + ", ".join(f"{n:.3e}" for n in norms)
         )
-    # among near-best starts prefer the flattest compensator gain slope,
-    # then the lowest start index
-    near = [i for i, r in enumerate(results) if r.fnorm <= best_norm + 1e-8]
-    sel = min(
-        near,
-        key=lambda i: (
-            round(_gain_slope(np.clip(np.exp(results[i].x), T_MIN, T_MAX)), 9),
-            i,
-        ),
-    )
-    r = results[sel]
     Ts = np.clip(np.exp(r.x), T_MIN, T_MAX)
     design = CompensatorDesign(
         T1_s=float(Ts[0]), T2_s=float(Ts[1]), T3_s=float(Ts[2]), T4_s=float(Ts[3]),
@@ -410,9 +390,8 @@ def design_compensator(
     )
     F = residual_F(r.x, ctx)
     diag = DesignDiagnostics(
-        residual_norms=norms,
-        converged=tuple(r.converged for r in results),
-        selected_start=sel,
+        residual_norms=tuple(norms),
+        selected_start=len(norms) - 1,
         fnorm=r.fnorm,
         fnorm_inf=float(np.max(np.abs(F))),
         budget=budget,

@@ -506,6 +506,11 @@ def ensemble(
             others = pool.map(run_batch, batches[share:], chunksize=share)
             per_batch = [run_batch(b) for b in batches[:share]] + list(others)
     baseline, *metrics = (e for energies in per_batch for e in energies)
+    if baseline == 0.0:
+        raise SimulationError(
+            f"the POD-off energy over metric window {metric_window} is 0, as in a "
+            "window that ends before the disturbance acts: median_ratio is undefined"
+        )
     return EnsembleStats(
         n_runs=n_runs,
         metrics=tuple(metrics),

@@ -173,7 +173,7 @@ class TestDogleg:
         def fun(x):
             return np.array([x[0] ** 2 + 1.0])  # no real root
 
-        res = dogleg_solve(fun, np.array([3.0]), max_iter=50)
+        res = dogleg_solve(fun, np.array([3.0]))
         assert not res.converged
         assert res.fnorm <= float(np.linalg.norm(fun(np.array([3.0]))))
 
@@ -280,6 +280,55 @@ class TestDesignCompensator:
                     + math.degrees(np.angle(comp(1j * w)))
                 )
                 assert abs(total) < 1e-4
+
+    def test_first_converged_start_is_kept(self, drawn_cases, monkeypatch):
+        """The starts run in order until one converges: the dogleg runs
+        selected_start + 1 times, every earlier start failed, and the norms
+        are those of the starts tried."""
+        real = poddesign.dogleg_solve
+        starts, results = [], []
+
+        def counted(fun, x0):
+            starts.append(x0.tobytes())
+            results.append(real(fun, x0))
+            return results[-1]
+
+        monkeypatch.setattr(poddesign, "dogleg_solve", counted)
+        grid = [x0.tobytes() for x0 in _dogleg_starts()]
+        selected = []
+        for c, idents, sur in drawn_cases:
+            for ident, loop in zip(idents, ("active", "reactive")):
+                starts.clear()
+                results.clear()
+                modes = find_modes(ident, band_hz=tuple(c["design"]["band_hz"]))
+                _, _, diag = design_compensator(
+                    ident, sur, modes, c["channel"]["rate_hz"], loop,
+                    washout_Tw_s=c["design"]["washout_Tw_s"],
+                )
+                assert len(results) == diag.selected_start + 1
+                assert starts == grid[: len(starts)]
+                assert diag.residual_norms == tuple(r.fnorm for r in results)
+                assert all(n > poddesign._DOGLEG_TOL for n in diag.residual_norms[:-1])
+                assert diag.fnorm == diag.residual_norms[-1] <= poddesign._DOGLEG_TOL
+                selected.append(diag.selected_start)
+        # one drawn active loop falls back past the first start
+        assert selected.count(0) < len(selected) == 8
+
+    def test_unreachable_phases_try_every_start(self, cfg, identified):
+        """At a 0.15 s delay neither loop's phase swing is reachable by two
+        lead-lag stages: all 24 starts run and fail, and the error lists
+        their norms."""
+        sur = pipeline.surrogate_for(cfg, 0.15)
+        for ident, loop in zip(identified, ("active", "reactive")):
+            modes = find_modes(ident, band_hz=tuple(cfg["design"]["band_hz"]))
+            with pytest.raises(DesignError, match="no dogleg start converged") as info:
+                design_compensator(
+                    ident, sur, modes, cfg["channel"]["rate_hz"], loop,
+                    washout_Tw_s=cfg["design"]["washout_Tw_s"],
+                )
+            norms = str(info.value).split(": ", 1)[1].split(", ")
+            assert len(norms) == 24
+            assert all(float(n) > poddesign._DOGLEG_TOL for n in norms)
 
     def test_budget_within_five_degrees(self, loop_designs):
         for ld in loop_designs:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import re
 import resource
 
 import numpy as np
@@ -432,6 +433,14 @@ class TestEnsemble:
         trace = run_closed_loop(plant, dp, dq, chan, scenario, seed=42, duration_s=10.0, dt=1e-3)
         assert stats.metrics[0] == damping_metric(trace, (1.0, 10.0))
         assert stats.n_runs == 1
+
+    def test_window_before_the_disturbance_rejected(self, plant, designs, chan, scenario):
+        """A window that ends before the kick at 1 s holds no POD-off energy,
+        so the ensemble has no ratio to report and says which window."""
+        assert scenario.start_s == 1.0
+        dp, dq = designs
+        with pytest.raises(SimulationError, match=re.escape("metric window (0.0, 0.5) is 0")):
+            ensemble(1, 42, plant, dp, dq, chan, scenario, (0.0, 0.5), duration_s=2.0, dt=1e-3)
 
     def test_bit_identical_repetition(self, plant, designs, chan, scenario):
         dp, dq = designs
