@@ -127,22 +127,31 @@ def loop_blocks(
 def _match_targets(
     eigs: np.ndarray, target_freqs_hz: tuple[float, float]
 ) -> tuple[ModeReport, ModeReport]:
+    """The eigenvalue of one row nearest each target frequency, each used once.
+
+    Raises AnalysisError when the row has fewer oscillatory eigenvalues than
+    targets, or more than one within 5 % of a target.
+    """
     cands = eigs[eigs.imag > 0]
-    if len(cands) == 0:
-        raise AnalysisError("no oscillatory eigenvalues to match against")
-    freqs = cands.imag / (2.0 * math.pi)
+    if len(cands) < len(target_freqs_hz):
+        raise AnalysisError(
+            "need an oscillatory eigenvalue per target mode: found "
+            f"{len(cands)} for {len(target_freqs_hz)}"
+        )
+    freqs = (cands.imag / (2.0 * math.pi)).tolist()
     picked = []
-    used = set()
+    free = list(range(len(cands)))
     for f_t in target_freqs_hz:
-        close = [i for i in range(len(cands)) if abs(freqs[i] - f_t) <= 0.05 * f_t]
+        dist = [abs(f - f_t) for f in freqs]
+        close = [i for i, d in enumerate(dist) if d <= 0.05 * f_t]
         if len(close) > 1:
             listing = ", ".join(f"{cands[i]:.4f}" for i in close)
             raise AnalysisError(
                 f"mode-matching ambiguity near {f_t:g} Hz: candidates {listing}"
             )
-        order = np.argsort(np.abs(freqs - f_t))
-        i = next(int(k) for k in order if int(k) not in used)
-        used.add(i)
+        # the nearest not yet used; a tie goes to the first in eigenvalue order
+        i = min(free, key=dist.__getitem__)
+        free.remove(i)
         picked.append(mode_report(complex(cands[i])))
     return tuple(picked)
 
@@ -177,31 +186,62 @@ def _gain_free_loop(
     return loop
 
 
+def _ctrl_row(loop: _GainFreeLoop, gain: float) -> tuple[np.ndarray, list]:
+    """C and D of gain * washout * lead-lag * delay on the companion form of
+    ``loop``; the numerator is formed as the two series() products form it,
+    in their order."""
+    num = np.convolve(np.convolve([gain], loop.wl_num), loop.delay_num)
+    return _output_row(num, loop.den_last, loop.a)
+
+
 def _ctrl_ss(design: CompensatorDesign, surrogate_tf: TransferFunction, gain: float) -> StateSpace:
     """State space of gain * washout * lead-lag * delay: the realisation of
     ``series(controller_tf(design, gain), surrogate_tf)``, bit for bit."""
     loop = _gain_free_loop(design.time_constants, design.washout_Tw_s, surrogate_tf)
-    # the numerator as the two series() products form it, in their order
-    num = np.convolve(np.convolve([gain], loop.wl_num), loop.delay_num)
-    C, D = _output_row(num, loop.den_last, loop.a)
-    return StateSpace(loop.A, loop.B, C, D)
+    return StateSpace(loop.A, loop.B, *_ctrl_row(loop, gain))
 
 
-def _close_loops(
-    plant_A: np.ndarray,
-    plant_Bs: list[np.ndarray],
-    plant_C: np.ndarray,
-    controllers: list[StateSpace],
-    target_modes_hz: tuple[float, float],
-    label: str,
-    gain: float,
-) -> ClosedLoopResult:
-    """Eigenvalues of ``loop_blocks`` closed as ``A + B @ Cu``, and the two
-    target modes among them."""
-    A, B, Cu = loop_blocks(plant_A, plant_Bs, plant_C, controllers)
+def _closed(A: np.ndarray, B: np.ndarray, Cu: np.ndarray) -> np.ndarray:
+    """``loop_blocks``' system closed as ``A + B @ Cu``, or a stack of them."""
     if A.shape[0] > 100:
         raise AnalysisError(f"composed system order {A.shape[0]} exceeds 100")
-    eigs = eigen(A + B @ Cu)
+    return A + B @ Cu
+
+
+def _closed_stack(
+    plant_ss: StateSpace,
+    design: CompensatorDesign,
+    surrogate_tf: TransferFunction,
+    gains,
+) -> np.ndarray:
+    """The single loop closed at each of ``gains``: a ``(len(gains), N, N)``
+    stack of ``A + B @ Cu``.
+
+    ``A`` and ``B`` do not depend on the gain, so ``loop_blocks`` assembles
+    them once; each gain forms only its ``Cu`` row, from the ``C`` and ``D``
+    that ``_ctrl_ss`` realises.  Every matrix equals the one that
+    ``loop_blocks`` builds for that gain alone, bit for bit.
+    """
+    if np.any(plant_ss.D != 0):
+        raise AnalysisError("plant must be strictly proper for block feedback")
+    ctrl = _ctrl_ss(design, surrogate_tf, 0.0)
+    A, B, _ = loop_blocks(plant_ss.A, [plant_ss.B], plant_ss.C, [ctrl])
+    loop = _gain_free_loop(design.time_constants, design.washout_Tw_s, surrogate_tf)
+    n = plant_ss.order
+    Cu = np.empty((len(gains), 1, A.shape[0]))
+    for row, gain in zip(Cu, gains):
+        C, D = _ctrl_row(loop, gain)
+        # loop_blocks' output row of the controller, -D C feedthrough included
+        row[0, :n] = -float(D[0][0]) * plant_ss.C[0]
+        row[0, n:] = C[0]
+    return _closed(A, B, Cu)
+
+
+def _loop_result(
+    eigs: np.ndarray, target_modes_hz: tuple[float, float], label: str, gain: float
+) -> ClosedLoopResult:
+    """The study of one row of closed-loop eigenvalues: its two target modes
+    and whether every eigenvalue lies in the open left half-plane."""
     return ClosedLoopResult(
         label=label,
         gain=gain,
@@ -209,6 +249,31 @@ def _close_loops(
         target_modes=_match_targets(eigs, target_modes_hz),
         stable=bool(np.all(eigs.real < 0)),
     )
+
+
+def _gain_eigenvalues(
+    plant_ss: StateSpace,
+    design: CompensatorDesign,
+    surrogate: DelaySurrogate,
+    gains,
+) -> list:
+    """Closed-loop eigenvalues of the single loop at each gain, one row per
+    gain, from one stacked eigen solve.
+
+    Where that solve raises LinAlgError, each matrix is solved alone, and
+    the row of a matrix whose own solve raises holds its LinAlgError.
+    """
+    stack = _closed_stack(plant_ss, design, surrogate.pade, gains)
+    try:
+        return list(eigen(stack))
+    except np.linalg.LinAlgError:
+        rows = []
+        for M in stack:
+            try:
+                rows.append(eigen(M))
+            except np.linalg.LinAlgError as exc:
+                rows.append(exc)
+        return rows
 
 
 def closed_loop_modes(
@@ -221,14 +286,9 @@ def closed_loop_modes(
     surrogate_tf: TransferFunction | None = None,
 ) -> ClosedLoopResult:
     """Single-loop closed-loop eigenvalue case with the delay surrogate."""
-    if np.any(plant_ss.D != 0):
-        raise AnalysisError("plant must be strictly proper for block feedback")
     d_tf = surrogate.pade if surrogate_tf is None else surrogate_tf
-    ctrl = _ctrl_ss(design, d_tf, gain)
-    return _close_loops(
-        plant_ss.A, [plant_ss.B], plant_ss.C, [ctrl], target_modes_hz,
-        label or f"gain={gain:g}", gain,
-    )
+    eigs = eigen(_closed_stack(plant_ss, design, d_tf, [gain]))[0]
+    return _loop_result(eigs, target_modes_hz, label or f"gain={gain:g}", gain)
 
 
 def closed_loop_modes_two(
@@ -246,10 +306,9 @@ def closed_loop_modes_two(
     """Both power loops closed simultaneously on the shared-state plant."""
     ctrl_p = _ctrl_ss(design_p, surrogate.pade, design_p.gain * gain_scale)
     ctrl_q = _ctrl_ss(design_q, surrogate.pade, design_q.gain * gain_scale)
-    return _close_loops(
-        plant_A, [plant_B_p, plant_B_q], plant_C, [ctrl_p, ctrl_q], target_modes_hz,
-        label or "both-loops", gain_scale,
-    )
+    A, B, Cu = loop_blocks(plant_A, [plant_B_p, plant_B_q], plant_C, [ctrl_p, ctrl_q])
+    eigs = eigen(_closed(A, B, Cu))
+    return _loop_result(eigs, target_modes_hz, label or "both-loops", gain_scale)
 
 
 def delay_sweep(

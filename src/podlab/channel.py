@@ -135,10 +135,11 @@ def default_delay_distribution(mean_s: float) -> DelayDistribution:
     lo, hi = math.log(mean_s) - 1.0, math.log(mean_s) + 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hist_mean(mid) < mean_s:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if hist_mean(mid) < mean_s else (lo, mid)
+        if bracket == (lo, hi):
+            # a fixed point: every later iteration would leave it as it is
+            break
+        lo, hi = bracket
     mu = 0.5 * (lo + hi)
     pdf = np.exp(-((np.log(centers) - mu) ** 2) / (2.0 * s2)) / centers
     return DelayDistribution.empirical(edges, bin_probs(pdf))

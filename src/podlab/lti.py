@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import LtiError
 
@@ -199,13 +198,20 @@ def to_state_space(tf: TransferFunction) -> StateSpace:
 
 
 def eigen(A: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a square real matrix (dense QR routine)."""
+    """All eigenvalues of a square real matrix, or of each matrix of a
+    ``(..., N, N)`` stack, one row per matrix (LAPACK's dense QR routine).
+
+    The result is complex even where every eigenvalue is real, when
+    ``np.linalg.eigvals`` returns a real array.  Non-finite entries raise
+    LtiError, so they are never mistaken for a solve that did not converge
+    (``LinAlgError``).
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape[0] != A.shape[1]:
+    if A.shape[-1] != A.shape[-2]:
         raise LtiError(f"eigen requires a square matrix, got shape {A.shape}")
-    if A.shape[0] == 0:
-        return np.array([], dtype=complex)
-    return scipy.linalg.eigvals(A)
+    if not np.isfinite(A).all():
+        raise LtiError("eigen requires finite entries")
+    return np.linalg.eigvals(A).astype(complex, copy=False)
 
 
 def unwrapped_phase_deg(tf: TransferFunction, freqs_hz: np.ndarray) -> np.ndarray:

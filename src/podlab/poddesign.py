@@ -410,45 +410,72 @@ def select_gain(
 
     Feasible gains keep every closed-loop eigenvalue strictly in the left
     half-plane with a 6 dB gain margin (the loop at twice the gain must also
-    be stable).  K = 0 is the always-feasible fallback.  The 2K study runs
-    only for a candidate that decides: stable at K and better than the best
-    so far.  A candidate whose eigen study raises AnalysisError or
-    LinAlgError is skipped; a 2K study that is not run cannot skip its
-    candidate.  DesignError is raised when the grid holds no non-zero
-    candidate, or when every non-zero candidate is skipped.
+    be stable).  K = 0 is the always-feasible fallback.  One stacked eigen
+    solve closes the loop at K = 0 and every candidate, and a second at 2K
+    for each candidate stable at K and better than K = 0.  The candidates
+    are then scanned in order, and a 2K study is matched only for a
+    candidate that decides: stable at K and better than the best so far.
+    A candidate whose eigen study raises AnalysisError or LinAlgError is
+    skipped; a 2K study that is not matched cannot skip its candidate.
+    Where a stacked solve raises LinAlgError, its matrices are solved one
+    at a time and only those that raise fail.  DesignError is raised when
+    the grid holds no non-zero candidate, or when every non-zero candidate
+    is skipped.
     """
-    from .analysis import closed_loop_modes  # local import avoids a cycle
+    from .analysis import _gain_eigenvalues, _loop_result  # local import avoids a cycle
 
     K_grid = np.asarray(K_grid, dtype=float)
     if np.any(K_grid < 0) or np.any(np.diff(K_grid) <= 0):
         raise DesignError("K_grid must be ascending and non-negative")
-    candidates = K_grid[K_grid != 0.0]
-    if not len(candidates):
+    candidates = K_grid[K_grid != 0.0].tolist()
+    if not candidates:
         raise DesignError("K_grid holds no non-zero gain candidate")
 
+    def study(K: float, row):
+        """The eigen study of the loop at K from its eigenvalue row, or the
+        LinAlgError that row's solve raised."""
+        if isinstance(row, np.linalg.LinAlgError):
+            raise row
+        return _loop_result(row, target_modes_hz, f"gain={K:g}", K)
+
+    def score(result) -> float:
+        return min(m.damping_ratio for m in result.target_modes)
+
+    base_row, *rows = _gain_eigenvalues(plant_ss, design, surrogate, [0.0, *candidates])
     best_k = 0.0
-    base = closed_loop_modes(plant_ss, design, surrogate, 0.0, target_modes_hz)
-    best_score = min(m.damping_ratio for m in base.target_modes)
-    skipped = []
-    for K in candidates:
+    best_score = score(study(0.0, base_row))
+    at_K = []
+    for K, row in zip(candidates, rows):
         try:
-            cur = closed_loop_modes(plant_ss, design, surrogate, float(K), target_modes_hz)
-            if not cur.stable:
-                continue
-            score = min(m.damping_ratio for m in cur.target_modes)
-            if not score > best_score:
-                continue
-            margin = closed_loop_modes(
-                plant_ss, design, surrogate, 2.0 * float(K), target_modes_hz
-            )
+            at_K.append(study(K, row))
         except (AnalysisError, np.linalg.LinAlgError) as exc:
             # an eigen study that cannot match the target modes rules the
             # candidate out; any other failure is a fault and propagates
+            at_K.append(exc)
+    # the best score only rises from the baseline, so no other candidate decides
+    could_decide = [
+        K for K, cur in zip(candidates, at_K)
+        if not isinstance(cur, Exception) and cur.stable and score(cur) > best_score
+    ]
+    at_2K = dict(zip(
+        could_decide,
+        _gain_eigenvalues(plant_ss, design, surrogate, [2.0 * K for K in could_decide]),
+    ))
+    skipped = []
+    for K, cur in zip(candidates, at_K):
+        if isinstance(cur, Exception):
+            skipped.append(f"K={K:g}: {cur}")
+            continue
+        if not cur.stable or not score(cur) > best_score:
+            continue
+        try:
+            margin = study(2.0 * K, at_2K[K])
+        except (AnalysisError, np.linalg.LinAlgError) as exc:
             skipped.append(f"K={K:g}: {exc}")
             continue
         if margin.stable:
-            best_score = score
-            best_k = float(K)
+            best_score = score(cur)
+            best_k = K
     if len(skipped) == len(candidates):
         raise DesignError(
             f"all {len(skipped)} non-zero gain candidates failed their eigen study; "

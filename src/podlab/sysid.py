@@ -6,6 +6,7 @@ rational fit.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -69,8 +70,10 @@ class PrbsConfig:
         return self.period_chips * self.chip_period_s
 
 
+@functools.lru_cache(maxsize=None)
 def prbs_chips(register_bits: int) -> np.ndarray:
-    """One period of the +/-1 maximal-length sequence."""
+    """One period of the +/-1 maximal-length sequence, computed once per
+    register length; the returned array is shared and read-only."""
     if register_bits not in _PRIMITIVE_TAPS:
         raise SysidError(f"no primitive polynomial tabulated for n={register_bits}")
     taps = _PRIMITIVE_TAPS[register_bits]
@@ -83,6 +86,7 @@ def prbs_chips(register_bits: int) -> np.ndarray:
         for t in taps:
             fb ^= state[t - 1]
         state = [fb] + state[:-1]
+    chips.setflags(write=False)
     return chips
 
 

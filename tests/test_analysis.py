@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from podlab.analysis import (
+    _closed_stack,
     _ctrl_ss,
     _gain_free_loop,
     _match_targets,
@@ -117,6 +118,14 @@ class TestClosedLoopModes:
         d = loop_designs[0].design
         with pytest.raises(AnalysisError, match="ambig"):
             closed_loop_modes(ss, d, surrogate, 0.0, (0.45, 0.46))
+
+    def test_one_oscillatory_eigenvalue_for_two_targets_rejected(self):
+        # one mode left for two targets: an AnalysisError, not a raw StopIteration
+        eigs = np.array([-0.1 + 2.8j, -0.1 - 2.8j, -3.0])
+        with pytest.raises(AnalysisError, match="found 1 for 2"):
+            _match_targets(eigs, (0.45, 0.9))
+        with pytest.raises(AnalysisError, match="found 0 for 2"):
+            _match_targets(np.array([-1.0, -3.0 + 0j]), (0.45, 0.9))
 
     def test_nonzero_feedthrough_rejected(self, surrogate, loop_designs):
         ss = StateSpace(
@@ -287,6 +296,17 @@ class TestMemoisedLoop:
                     ctrl = _ctrl_ss(ld.design, d_tf, gain)
                     got = eigen(_closed_A(ss.A, [ss.B], ss.C, [ctrl]))
                 assert got.tobytes() == ref.tobytes()
+            # select_gain's stacked closure: every matrix and eigenvalue row
+            # equals its own hand-built assembly
+            for k in K.tolist():
+                gains = (0.0, k, 2.0 * k)
+                stack = _closed_stack(ss, ld.design, surrogate.pade, gains)
+                assert stack.shape[0] == 3
+                for M, row, gain in zip(stack, eigen(stack), gains):
+                    ctrl = _hand_built_ctrl(ld.design, surrogate.pade, gain)
+                    ref = _closed_A(ss.A, [ss.B], ss.C, [ctrl])
+                    assert M.tobytes() == ref.tobytes()
+                    assert row.tobytes() == eigen(ref).tobytes()
 
     def test_two_loop_eigenvalues_match_hand_built_assembly(self, plant, surrogate, loop_designs):
         dp, dq = (ld.design for ld in loop_designs)

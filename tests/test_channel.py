@@ -53,6 +53,31 @@ def _scalar_draw(dist, rng):
     return float(scipy.stats.truncnorm.ppf(rng.uniform(), a, b, loc=dist.mu, scale=dist.sigma))
 
 
+def _reference_default_delay_distribution(mean_s):
+    """default_delay_distribution with its bisection run for all 200
+    iterations, as it was before it stopped at the fixed point."""
+    from podlab.channel import _DEFAULT_BINS, _DEFAULT_SPREAD, _DEFAULT_SUPPORT_S, bin_probs
+
+    edges = np.linspace(*_DEFAULT_SUPPORT_S, _DEFAULT_BINS + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    s2 = math.log(1.0 + _DEFAULT_SPREAD**2)
+
+    def hist_mean(mu):
+        pdf = np.exp(-((np.log(centers) - mu) ** 2) / (2.0 * s2)) / centers
+        return float(np.dot(pdf / pdf.sum(), centers))
+
+    lo, hi = math.log(mean_s) - 1.0, math.log(mean_s) + 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hist_mean(mid) < mean_s:
+            lo = mid
+        else:
+            hi = mid
+    mu = 0.5 * (lo + hi)
+    pdf = np.exp(-((np.log(centers) - mu) ** 2) / (2.0 * s2)) / centers
+    return DelayDistribution.empirical(edges, bin_probs(pdf))
+
+
 class TestDelayDistribution:
     def test_point_mass(self):
         d = DelayDistribution.point_mass(0.5)
@@ -80,6 +105,15 @@ class TestDelayDistribution:
         centers = 0.5 * (np.array(d.bin_edges[:-1]) + np.array(d.bin_edges[1:]))
         assert float(np.dot(d.bin_probs, centers)) == pytest.approx(0.3, abs=1e-9)
         assert sum(d.bin_probs) == pytest.approx(1.0, abs=1e-12)
+
+    def test_bisection_stops_at_its_fixed_point(self):
+        """Stopping once an iteration leaves the bracket unchanged gives the
+        histogram of all 200 iterations, bit for bit."""
+        for mean_s in np.linspace(0.06, 1.4, 60).tolist():
+            got = default_delay_distribution(mean_s)
+            ref = _reference_default_delay_distribution(mean_s)
+            assert got.bin_edges == ref.bin_edges
+            assert np.array(got.bin_probs).tobytes() == np.array(ref.bin_probs).tobytes()
 
     def test_truncated_normal_support(self):
         d = DelayDistribution.truncated_normal(0.3, 0.1, 0.1, 0.6)

@@ -208,6 +208,28 @@ class TestEigen:
         with pytest.raises(LtiError, match="square"):
             eigen(np.zeros((2, 3)))
 
+    def test_non_finite_rejected(self):
+        # an LtiError, not the LinAlgError of a solve that did not converge
+        for bad in (np.nan, np.inf):
+            with pytest.raises(LtiError, match="finite"):
+                eigen(np.array([[0.0, 1.0], [bad, 0.0]]))
+
+    def test_all_real_eigenvalues_stay_complex(self):
+        # np.linalg.eigvals returns a real array when every eigenvalue is real
+        stack = np.stack([np.diag([-1.0, -2.0]), np.array([[0.0, 1.0], [2.0, 1.0]])])
+        for A in (stack, stack[0], np.zeros((0, 0)), np.zeros((3, 0, 0))):
+            assert eigen(A).dtype == np.complex128
+        assert np.sort_complex(eigen(stack)).tolist() == [[-2.0, -1.0], [-1.0, 2.0]]
+
+    def test_stack_equals_rows_solved_alone(self):
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(24, 12, 12))
+        stack[7] = np.diag(rng.normal(size=12))  # all real in a complex stack
+        got = eigen(stack)
+        assert got.shape == (24, 12)
+        for row, A in zip(got, stack):
+            assert row.tobytes() == eigen(A).tobytes()
+
 
 class TestSimulate:
     """Simulation runs on the one integrator, the exact ZOH recursion."""

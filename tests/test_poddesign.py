@@ -36,6 +36,13 @@ from podlab.poddesign import (
 from podlab.sysid import find_modes
 
 
+def _closed_at_gain(M, n):
+    """Per matrix of a closed-loop matrix or stack: whether its loop is
+    closed at a non-zero gain.  At K = 0 the controller feeds nothing back,
+    so the plant's n rows are zero in the controller's columns."""
+    return np.any(np.asarray(M)[..., :n, n:] != 0, axis=(-2, -1))
+
+
 class TestLeadLag:
     def test_identity_when_all_equal(self):
         tf = leadlag_tf(1.0, 1.0, 1.0, 1.0)
@@ -392,34 +399,102 @@ class TestSelectGain:
         assert K == 0.0
 
     def test_unexpected_error_propagates(self, plant, surrogate, loop_designs, monkeypatch):
+        """A fault in the stacked eigen solve or in the matching of a
+        non-zero gain rules out no candidate: it propagates."""
         from podlab import analysis
 
-        real = analysis.closed_loop_modes
+        n = plant.p_path.order
+        real_eigen, real_result = analysis.eigen, analysis._loop_result
 
-        def broken(plant_ss, design, surrogate, gain, targets):
+        def broken_eigen(M):
+            if np.any(_closed_at_gain(M, n)):
+                raise RuntimeError("injected fault")
+            return real_eigen(M)
+
+        def broken_result(eigs, targets, label, gain):
             if gain > 0.0:
                 raise RuntimeError("injected fault")
-            return real(plant_ss, design, surrogate, gain, targets)
+            return real_result(eigs, targets, label, gain)
 
-        monkeypatch.setattr(analysis, "closed_loop_modes", broken)
-        with pytest.raises(RuntimeError, match="injected fault"):
-            select_gain(plant.p_path, loop_designs[0].design, surrogate, (0.45, 0.90),
-                        K_grid=np.array([0.1, 1.0]))
+        for seam, broken in (("eigen", broken_eigen), ("_loop_result", broken_result)):
+            with monkeypatch.context() as m:
+                m.setattr(analysis, seam, broken)
+                with pytest.raises(RuntimeError, match="injected fault"):
+                    select_gain(plant.p_path, loop_designs[0].design, surrogate, (0.45, 0.90),
+                                K_grid=np.array([0.1, 1.0]))
 
     def test_all_candidates_skipped_raises(self, plant, surrogate, loop_designs, monkeypatch):
         from podlab import analysis
 
-        real = analysis.closed_loop_modes
+        real = analysis._loop_result
 
-        def ambiguous(plant_ss, design, surrogate, gain, targets):
+        def ambiguous(eigs, targets, label, gain):
             if gain > 0.0:
                 raise AnalysisError("mode-matching ambiguity")
-            return real(plant_ss, design, surrogate, gain, targets)
+            return real(eigs, targets, label, gain)
 
-        monkeypatch.setattr(analysis, "closed_loop_modes", ambiguous)
+        monkeypatch.setattr(analysis, "_loop_result", ambiguous)
         with pytest.raises(DesignError, match="all 2 non-zero gain candidates"):
             select_gain(plant.p_path, loop_designs[0].design, surrogate, (0.45, 0.90),
                         K_grid=np.array([0.0, 0.1, 1.0]))
+
+    def test_one_oscillatory_eigenvalue_skips_the_candidate(
+        self, plant, surrogate, loop_designs, monkeypatch
+    ):
+        """A closed loop with one oscillatory eigenvalue for two target modes
+        cannot be matched: its candidate is skipped like any other match
+        failure, and no raw StopIteration escapes."""
+        from podlab import analysis
+
+        n = plant.p_path.order
+        real = analysis.eigen
+
+        def one_mode(M):
+            eigs = real(M)
+            one = np.array([-0.1 + 2.8j, -0.1 - 2.8j] + [-3.0] * (eigs.shape[-1] - 2))
+            return np.where(_closed_at_gain(M, n)[..., None], one, eigs)
+
+        monkeypatch.setattr(analysis, "eigen", one_mode)
+        with pytest.raises(
+            DesignError, match=r"all 2 non-zero gain candidates .* found 1 for 2"
+        ):
+            select_gain(plant.p_path, loop_designs[0].design, surrogate, (0.45, 0.90),
+                        K_grid=np.array([0.1, 1.0]))
+
+    def test_linalg_error_on_one_row_skips_that_candidate(
+        self, plant, surrogate, loop_designs, monkeypatch
+    ):
+        """When the stacked solve raises LinAlgError, each matrix is solved
+        alone: a candidate whose K or 2K matrix raises is skipped as if it
+        were not in the grid, and a raise at K = 0 propagates."""
+        from podlab import analysis
+
+        ld = loop_designs[0]
+        args = (plant.p_path, ld.design, surrogate, (0.45, 0.90))
+        grid = np.geomspace(1e-2, 1e1, 16)
+        chosen = select_gain(*args, K_grid=grid)
+        assert chosen > 0.0
+        without = select_gain(*args, K_grid=grid[grid != chosen])
+        assert 0.0 < without != chosen
+        real = analysis.eigen
+
+        def failing_at(gain):
+            bad = analysis._closed_stack(plant.p_path, ld.design, surrogate.pade, [gain])[0]
+
+            def eigen(M):
+                if any(np.array_equal(m, bad) for m in np.reshape(M, (-1, *bad.shape))):
+                    raise np.linalg.LinAlgError("injected: eigenvalues did not converge")
+                return real(M)
+
+            return eigen
+
+        for gain in (chosen, 2.0 * chosen):
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "eigen", failing_at(gain))
+                assert select_gain(*args, K_grid=grid) == without
+        monkeypatch.setattr(analysis, "eigen", failing_at(0.0))
+        with pytest.raises(np.linalg.LinAlgError, match="injected"):
+            select_gain(*args, K_grid=grid)
 
     def test_selected_gain_in_grid_improves_damping(self, plant, surrogate, loop_designs):
         from podlab.analysis import closed_loop_modes
@@ -716,19 +791,20 @@ class TestBitwiseReference:
             assert _bits(J) == _bits(_reference_jacobian(fun, x))
 
     def test_select_gain_matches_eager_reference(self, drawn_cases, monkeypatch):
-        """The gain is the eager search's, and the 2K study runs exactly once
-        for each decisive candidate and for no other."""
+        """The gain is the eager search's, every candidate's K study is
+        matched, and a 2K study is matched exactly once for each decisive
+        candidate and for no other."""
         from podlab import analysis
 
-        real = analysis.closed_loop_modes
+        real = analysis._loop_result
         gains = []
 
         raised = []
 
-        def spy(plant_ss, design, surrogate, gain, targets):
+        def spy(eigs, targets, label, gain):
             gains.append(gain)
             try:
-                return real(plant_ss, design, surrogate, gain, targets)
+                return real(eigs, targets, label, gain)
             except AnalysisError:
                 raised.append(gain)
                 raise
@@ -744,18 +820,16 @@ class TestBitwiseReference:
                     plant_ss, ld.design, sur, target_hz, K_grid
                 )
                 n_skipped += skipped
-                monkeypatch.setattr(analysis, "closed_loop_modes", spy)
+                monkeypatch.setattr(analysis, "_loop_result", spy)
                 gains.clear()
                 got = select_gain(plant_ss, ld.design, sur, target_hz, K_grid)
-                monkeypatch.setattr(analysis, "closed_loop_modes", real)
+                monkeypatch.setattr(analysis, "_loop_result", real)
                 assert _bits(got) == _bits(ref) == _bits(ld.design.gain)
-                expect = [0.0]
-                for K in K_grid.tolist():
-                    expect += [K, 2.0 * K] if K in decisive else [K]
-                assert gains == expect
+                # the K studies in grid order, then the decisive 2K studies in theirs
+                assert gains == [0.0, *K_grid.tolist(), *(2.0 * K for K in decisive)]
                 n_decisive += len(decisive)
                 n_candidates += len(K_grid)
         assert 0 < n_decisive < n_candidates
-        # a 2K study that could not change the answer is not run, so it cannot
-        # skip its candidate: the lazy search never skips more
+        # a 2K study that could not change the answer is not matched, so it
+        # cannot skip its candidate: the lazy search never skips more
         assert len(raised) <= n_skipped

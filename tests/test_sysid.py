@@ -43,6 +43,15 @@ class TestPrbs:
             r = np.dot(chips, np.roll(chips, shift))
             assert r == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("n", [3, 7, 10])
+    def test_chips_are_computed_once_and_read_only(self, n):
+        chips = prbs_chips(n)
+        assert prbs_chips(n) is chips
+        assert not chips.flags.writeable
+        with pytest.raises(ValueError):
+            chips[0] = 0.0
+        assert chips.tobytes() == prbs_chips.__wrapped__(n).tobytes()
+
     def test_no_taps_for_unknown_register(self):
         with pytest.raises(SysidError, match="primitive"):
             prbs_chips(17)
