@@ -29,7 +29,6 @@ __all__ = [
     "EigenStudy",
     "ClosedLoopResult",
     "open_loop",
-    "controller_tf",
     "loop_blocks",
     "closed_loop_modes",
     "closed_loop_modes_two",
@@ -67,15 +66,6 @@ class EigenStudy:
                 for c in self.cases
             ],
         }
-
-
-def controller_tf(design: CompensatorDesign, gain: float | None = None) -> TransferFunction:
-    """gain * washout * lead-lag cascade (no delay model)."""
-    K = design.gain if gain is None else gain
-    return series(
-        TransferFunction.constant(K),
-        series(design.washout_tf(), design.compensator_tf()),
-    )
 
 
 def open_loop(
@@ -196,52 +186,85 @@ def _ctrl_row(loop: _GainFreeLoop, gain: float) -> tuple[np.ndarray, list]:
 
 def _ctrl_ss(design: CompensatorDesign, surrogate_tf: TransferFunction, gain: float) -> StateSpace:
     """State space of gain * washout * lead-lag * delay: the realisation of
-    ``series(controller_tf(design, gain), surrogate_tf)``, bit for bit."""
+    ``series(series(constant(gain), series(washout, lead-lag)), surrogate_tf)``,
+    bit for bit."""
     loop = _gain_free_loop(design.time_constants, design.washout_Tw_s, surrogate_tf)
     return StateSpace(loop.A, loop.B, *_ctrl_row(loop, gain))
 
 
-def _closed(A: np.ndarray, B: np.ndarray, Cu: np.ndarray) -> np.ndarray:
-    """``loop_blocks``' system closed as ``A + B @ Cu``, or a stack of them."""
+def _closed_stack(
+    plant: tuple, designs: list[CompensatorDesign], delay_tf: TransferFunction, gain_rows
+) -> np.ndarray:
+    """The plant (A, [B per loop], C) with one controller per loop, gain *
+    washout * lead-lag * ``delay_tf``, closed at each row of ``gain_rows``
+    (one gain per loop): a ``(len(gain_rows), N, N)`` stack of ``A + B @ Cu``.
+
+    ``A`` and ``B`` do not depend on the gains, so ``loop_blocks`` assembles
+    them once; each row forms only its ``Cu``, from the ``C`` and ``D`` that
+    ``_ctrl_ss`` realises.  Every matrix equals the one that ``loop_blocks``
+    builds for that row alone, bit for bit.
+    """
+    plant_A, _, plant_C = plant
+    A, B, _ = loop_blocks(*plant, [_ctrl_ss(d, delay_tf, 0.0) for d in designs])
     if A.shape[0] > 100:
         raise AnalysisError(f"composed system order {A.shape[0]} exceeds 100")
+    n = plant_A.shape[0]
+    Cu = np.zeros((len(gain_rows), len(designs), A.shape[0]))
+    off = n
+    for i, d in enumerate(designs):
+        loop = _gain_free_loop(d.time_constants, d.washout_Tw_s, delay_tf)
+        m = loop.A.shape[0]
+        for row, gains in zip(Cu, gain_rows):
+            C, D = _ctrl_row(loop, gains[i])
+            # loop_blocks' output row of controller i, -D C feedthrough included
+            row[i, :n] = -float(D[0][0]) * plant_C[0]
+            row[i, off : off + m] = C[0]
+        off += m
     return A + B @ Cu
 
 
-def _closed_stack(
-    plant_ss: StateSpace,
-    design: CompensatorDesign,
-    surrogate_tf: TransferFunction,
-    gains,
-) -> np.ndarray:
-    """The single loop closed at each of ``gains``: a ``(len(gains), N, N)``
-    stack of ``A + B @ Cu``.
+def _closed_rows(plant: tuple, designs: list[CompensatorDesign], cases: list) -> list:
+    """Closed-loop eigenvalues of the plant (A, [B per loop], C) with one
+    controller per loop: one row per gain row of each ``(delay_tf,
+    gain_rows)`` case, in case order.
 
-    ``A`` and ``B`` do not depend on the gain, so ``loop_blocks`` assembles
-    them once; each gain forms only its ``Cu`` row, from the ``C`` and ``D``
-    that ``_ctrl_ss`` realises.  Every matrix equals the one that
-    ``loop_blocks`` builds for that gain alone, bit for bit.
+    The cases' ``_closed_stack`` matrices are grouped by order, one stacked
+    eigen solve per order.  Where a solve raises LinAlgError, its matrices
+    are solved one at a time, and the row of a matrix whose own solve raises
+    holds its LinAlgError, which ``_loop_result`` re-raises.
     """
+    stacks = [_closed_stack(plant, designs, d_tf, gain_rows) for d_tf, gain_rows in cases]
+    solved = {}
+    for N in dict.fromkeys(s.shape[-1] for s in stacks):
+        group = np.concatenate([s for s in stacks if s.shape[-1] == N])
+        try:
+            rows = list(eigen(group))
+        except np.linalg.LinAlgError:
+            rows = []
+            for M in group:
+                try:
+                    rows.append(eigen(M))
+                except np.linalg.LinAlgError as exc:
+                    rows.append(exc)
+        solved[N] = iter(rows)
+    return [next(solved[s.shape[-1]]) for s in stacks for _ in s]
+
+
+def _single_loop(plant_ss: StateSpace) -> tuple:
+    """``_closed_rows``' plant (A, [B], C) for one loop closed on ``plant_ss``."""
     if np.any(plant_ss.D != 0):
         raise AnalysisError("plant must be strictly proper for block feedback")
-    ctrl = _ctrl_ss(design, surrogate_tf, 0.0)
-    A, B, _ = loop_blocks(plant_ss.A, [plant_ss.B], plant_ss.C, [ctrl])
-    loop = _gain_free_loop(design.time_constants, design.washout_Tw_s, surrogate_tf)
-    n = plant_ss.order
-    Cu = np.empty((len(gains), 1, A.shape[0]))
-    for row, gain in zip(Cu, gains):
-        C, D = _ctrl_row(loop, gain)
-        # loop_blocks' output row of the controller, -D C feedthrough included
-        row[0, :n] = -float(D[0][0]) * plant_ss.C[0]
-        row[0, n:] = C[0]
-    return _closed(A, B, Cu)
+    return plant_ss.A, [plant_ss.B], plant_ss.C
 
 
 def _loop_result(
     eigs: np.ndarray, target_modes_hz: tuple[float, float], label: str, gain: float
 ) -> ClosedLoopResult:
     """The study of one row of closed-loop eigenvalues: its two target modes
-    and whether every eigenvalue lies in the open left half-plane."""
+    and whether every eigenvalue lies in the open left half-plane.  A row
+    that holds the LinAlgError of its solve re-raises it."""
+    if isinstance(eigs, np.linalg.LinAlgError):
+        raise eigs
     return ClosedLoopResult(
         label=label,
         gain=gain,
@@ -249,31 +272,6 @@ def _loop_result(
         target_modes=_match_targets(eigs, target_modes_hz),
         stable=bool(np.all(eigs.real < 0)),
     )
-
-
-def _gain_eigenvalues(
-    plant_ss: StateSpace,
-    design: CompensatorDesign,
-    surrogate: DelaySurrogate,
-    gains,
-) -> list:
-    """Closed-loop eigenvalues of the single loop at each gain, one row per
-    gain, from one stacked eigen solve.
-
-    Where that solve raises LinAlgError, each matrix is solved alone, and
-    the row of a matrix whose own solve raises holds its LinAlgError.
-    """
-    stack = _closed_stack(plant_ss, design, surrogate.pade, gains)
-    try:
-        return list(eigen(stack))
-    except np.linalg.LinAlgError:
-        rows = []
-        for M in stack:
-            try:
-                rows.append(eigen(M))
-            except np.linalg.LinAlgError as exc:
-                rows.append(exc)
-        return rows
 
 
 def closed_loop_modes(
@@ -287,7 +285,7 @@ def closed_loop_modes(
 ) -> ClosedLoopResult:
     """Single-loop closed-loop eigenvalue case with the delay surrogate."""
     d_tf = surrogate.pade if surrogate_tf is None else surrogate_tf
-    eigs = eigen(_closed_stack(plant_ss, design, d_tf, [gain]))[0]
+    (eigs,) = _closed_rows(_single_loop(plant_ss), [design], [(d_tf, [(gain,)])])
     return _loop_result(eigs, target_modes_hz, label or f"gain={gain:g}", gain)
 
 
@@ -304,10 +302,9 @@ def closed_loop_modes_two(
     label: str = "",
 ) -> ClosedLoopResult:
     """Both power loops closed simultaneously on the shared-state plant."""
-    ctrl_p = _ctrl_ss(design_p, surrogate.pade, design_p.gain * gain_scale)
-    ctrl_q = _ctrl_ss(design_q, surrogate.pade, design_q.gain * gain_scale)
-    A, B, Cu = loop_blocks(plant_A, [plant_B_p, plant_B_q], plant_C, [ctrl_p, ctrl_q])
-    eigs = eigen(_closed(A, B, Cu))
+    gains = (design_p.gain * gain_scale, design_q.gain * gain_scale)
+    plant = (plant_A, [plant_B_p, plant_B_q], plant_C)
+    (eigs,) = _closed_rows(plant, [design_p, design_q], [(surrogate.pade, [gains])])
     return _loop_result(eigs, target_modes_hz, label or "both-loops", gain_scale)
 
 
@@ -319,24 +316,25 @@ def delay_sweep(
 ) -> EigenStudy:
     """Locus of the target modes over constant-delay cases.
 
-    The surrogate's own average delay is marked as the design point.
+    The surrogate's own average delay is marked as the design point.  The
+    baseline and the cases are solved together, one eigen solve per order.
     """
-    baseline = closed_loop_modes(
-        plant_ss, design, surrogate, 0.0, target_modes_hz, label="baseline"
-    )
-    cases = []
+    cases = [(surrogate.pade, [(0.0,)])]
+    labels = []
     for d in _SWEEP_DELAYS_S:
-        d_tf = pade_approx(d, surrogate.order[0] or 4)
-        label = f"delay={d:g}s"
+        cases.append((pade_approx(d, surrogate.order[0] or 4), [(design.gain,)]))
+        labels.append(f"delay={d:g}s")
         if abs(d - surrogate.theta_s) < 1e-12:
-            label += " (design point)"
-        cases.append(
-            closed_loop_modes(
-                plant_ss, design, surrogate, design.gain, target_modes_hz,
-                label=label, surrogate_tf=d_tf,
-            )
-        )
-    return EigenStudy(baseline=baseline.target_modes, cases=tuple(cases))
+            labels[-1] += " (design point)"
+    base, *rows = _closed_rows(_single_loop(plant_ss), [design], cases)
+    baseline = _loop_result(base, target_modes_hz, "baseline", 0.0)
+    return EigenStudy(
+        baseline=baseline.target_modes,
+        cases=tuple(
+            _loop_result(eigs, target_modes_hz, label, design.gain)
+            for eigs, label in zip(rows, labels)
+        ),
+    )
 
 
 def bode_table(tf: TransferFunction, band_hz: tuple[float, float], n_points: int) -> list[str]:

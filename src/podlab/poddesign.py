@@ -422,26 +422,28 @@ def select_gain(
     the grid holds no non-zero candidate, or when every non-zero candidate
     is skipped.
     """
-    from .analysis import _gain_eigenvalues, _loop_result  # local import avoids a cycle
+    from .analysis import _closed_rows, _loop_result, _single_loop  # avoids a cycle
 
     K_grid = np.asarray(K_grid, dtype=float)
-    if np.any(K_grid < 0) or np.any(np.diff(K_grid) <= 0):
-        raise DesignError("K_grid must be ascending and non-negative")
+    if not np.isfinite(K_grid).all() or np.any(K_grid < 0) or np.any(np.diff(K_grid) <= 0):
+        raise DesignError("K_grid must be finite, ascending and non-negative")
     candidates = K_grid[K_grid != 0.0].tolist()
     if not candidates:
         raise DesignError("K_grid holds no non-zero gain candidate")
 
+    plant = _single_loop(plant_ss)
+
+    def eigen_rows(gains) -> list:
+        return _closed_rows(plant, [design], [(surrogate.pade, [(K,) for K in gains])])
+
     def study(K: float, row):
-        """The eigen study of the loop at K from its eigenvalue row, or the
-        LinAlgError that row's solve raised."""
-        if isinstance(row, np.linalg.LinAlgError):
-            raise row
+        """The eigen study of the loop at K from its eigenvalue row."""
         return _loop_result(row, target_modes_hz, f"gain={K:g}", K)
 
     def score(result) -> float:
         return min(m.damping_ratio for m in result.target_modes)
 
-    base_row, *rows = _gain_eigenvalues(plant_ss, design, surrogate, [0.0, *candidates])
+    base_row, *rows = eigen_rows([0.0, *candidates])
     best_k = 0.0
     best_score = score(study(0.0, base_row))
     at_K = []
@@ -457,10 +459,7 @@ def select_gain(
         K for K, cur in zip(candidates, at_K)
         if not isinstance(cur, Exception) and cur.stable and score(cur) > best_score
     ]
-    at_2K = dict(zip(
-        could_decide,
-        _gain_eigenvalues(plant_ss, design, surrogate, [2.0 * K for K in could_decide]),
-    ))
+    at_2K = dict(zip(could_decide, eigen_rows([2.0 * K for K in could_decide])))
     skipped = []
     for K, cur in zip(candidates, at_K):
         if isinstance(cur, Exception):

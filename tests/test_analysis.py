@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from podlab import analysis
 from podlab.analysis import (
+    _closed_rows,
     _closed_stack,
     _ctrl_ss,
     _gain_free_loop,
@@ -12,7 +14,6 @@ from podlab.analysis import (
     bode_table,
     closed_loop_modes,
     closed_loop_modes_two,
-    controller_tf,
     delay_sweep,
     loop_blocks,
     open_loop,
@@ -21,6 +22,16 @@ from podlab.delaymodel import pade_approx
 from podlab.errors import AnalysisError
 from podlab.lti import StateSpace, TransferFunction, eigen, series, to_state_space
 from podlab.poddesign import leadlag_tf, washout
+
+
+def controller_tf(design, gain=None):
+    """gain * washout * lead-lag cascade (no delay model): the transfer-function
+    form that the memoised loop's realisation is checked against."""
+    K = design.gain if gain is None else gain
+    return series(
+        TransferFunction.constant(K),
+        series(design.washout_tf(), design.compensator_tf()),
+    )
 
 
 def _closed_A(plant_A, plant_Bs, plant_C, controllers):
@@ -300,7 +311,9 @@ class TestMemoisedLoop:
             # equals its own hand-built assembly
             for k in K.tolist():
                 gains = (0.0, k, 2.0 * k)
-                stack = _closed_stack(ss, ld.design, surrogate.pade, gains)
+                stack = _closed_stack(
+                    (ss.A, [ss.B], ss.C), [ld.design], surrogate.pade, [(g,) for g in gains]
+                )
                 assert stack.shape[0] == 3
                 for M, row, gain in zip(stack, eigen(stack), gains):
                     ctrl = _hand_built_ctrl(ld.design, surrogate.pade, gain)
@@ -309,15 +322,90 @@ class TestMemoisedLoop:
                     assert row.tobytes() == eigen(ref).tobytes()
 
     def test_two_loop_eigenvalues_match_hand_built_assembly(self, plant, surrogate, loop_designs):
+        """One scale per call, and all four scales as rows of one stacked
+        call: every matrix and eigenvalue row is the hand-built one's."""
         dp, dq = (ld.design for ld in loop_designs)
-        for scale in (0.0, 0.5, 1.0, 2.0):
+        scales = (0.0, 0.5, 1.0, 2.0)
+        two = (plant.A, [plant.B_p, plant.B_q], plant.C)
+        gain_rows = [(dp.gain * scale, dq.gain * scale) for scale in scales]
+        stack = _closed_stack(two, [dp, dq], surrogate.pade, gain_rows)
+        rows = _closed_rows(two, [dp, dq], [(surrogate.pade, gain_rows)])
+        assert len(rows) == len(scales)
+        for scale, M, row in zip(scales, stack, rows):
             got = closed_loop_modes_two(
                 plant.A, plant.B_p, plant.B_q, plant.C, dp, dq, surrogate, (0.45, 0.90),
                 gain_scale=scale,
             ).eigenvalues
             ctrls = [_hand_built_ctrl(d, surrogate.pade, d.gain * scale) for d in (dp, dq)]
-            ref = eigen(_closed_A(plant.A, [plant.B_p, plant.B_q], plant.C, ctrls))
-            assert got.tobytes() == ref.tobytes()
+            ref_M = _closed_A(*two, ctrls)
+            ref = eigen(ref_M)
+            assert M.tobytes() == ref_M.tobytes()
+            assert got.tobytes() == row.tobytes() == ref.tobytes()
+
+    def test_delay_sweep_groups_equal_per_case_solves(
+        self, identified, surrogate, loop_designs, monkeypatch
+    ):
+        """The baseline and the four delay cases are solved in one stacked
+        eigen call per matrix order, and every row equals the solve of its
+        own hand-built matrix."""
+        calls = []
+        real = analysis.eigen
+
+        def counted(M):
+            calls.append(np.shape(M))
+            return real(M)
+
+        delays = [pade_approx(d, surrogate.order[0] or 4) for d in analysis._SWEEP_DELAYS_S]
+        for ident, ld in zip(identified, loop_designs):
+            ss = to_state_space(ident.tf)
+            modes_hz = tuple(w / (2.0 * math.pi) for w in ld.context.omegas)
+            cases = [(surrogate.pade, 0.0)] + [(d_tf, ld.design.gain) for d_tf in delays]
+            refs = [
+                eigen(_closed_A(ss.A, [ss.B], ss.C, [_hand_built_ctrl(ld.design, d_tf, gain)]))
+                for d_tf, gain in cases
+            ]
+            calls.clear()
+            monkeypatch.setattr(analysis, "eigen", counted)
+            study = delay_sweep(ss, ld.design, surrogate, modes_hz)
+            monkeypatch.setattr(analysis, "eigen", real)
+            assert len(calls) == len({ref.shape for ref in refs}) == 2
+            assert sum(shape[0] for shape in calls) == len(cases)
+            assert study.baseline == _match_targets(refs[0], modes_hz)
+            for case, ref in zip(study.cases, refs[1:]):
+                assert case.eigenvalues.tobytes() == ref.tobytes()
+                assert case.target_modes == _match_targets(ref, modes_hz)
+
+    def test_linalg_error_in_one_case_propagates(
+        self, plant, surrogate, loop_designs, monkeypatch
+    ):
+        """A LinAlgError in one delay case, or in the two-loop study, is
+        raised by the study: it is not skipped as select_gain skips a gain."""
+        dp, dq = (ld.design for ld in loop_designs)
+        ss = plant.p_path
+        real = analysis.eigen
+
+        def failing_on(bad):
+            def eigen(M):
+                M = np.asarray(M)
+                if M.shape[-1] == bad.shape[-1] and any(
+                    np.array_equal(m, bad) for m in M.reshape(-1, *bad.shape)
+                ):
+                    raise np.linalg.LinAlgError("injected: eigenvalues did not converge")
+                return real(M)
+
+            return eigen
+
+        ctrl = _hand_built_ctrl(dp, pade_approx(0.3, surrogate.order[0] or 4), dp.gain)
+        monkeypatch.setattr(analysis, "eigen", failing_on(_closed_A(ss.A, [ss.B], ss.C, [ctrl])))
+        with pytest.raises(np.linalg.LinAlgError, match="injected"):
+            delay_sweep(ss, dp, surrogate, (0.45, 0.90))
+        ctrls = [_hand_built_ctrl(d, surrogate.pade, d.gain) for d in (dp, dq)]
+        two = (plant.A, [plant.B_p, plant.B_q], plant.C)
+        monkeypatch.setattr(analysis, "eigen", failing_on(_closed_A(*two, ctrls)))
+        with pytest.raises(np.linalg.LinAlgError, match="injected"):
+            closed_loop_modes_two(
+                plant.A, plant.B_p, plant.B_q, plant.C, dp, dq, surrogate, (0.45, 0.90)
+            )
 
     def test_designs_with_other_time_constants_get_their_own_loop(self, surrogate, loop_designs):
         d = loop_designs[0].design

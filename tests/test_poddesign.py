@@ -359,6 +359,18 @@ class TestSelectGain:
             select_gain(plant.p_path, ld.design, surrogate, (0.45, 0.90),
                         K_grid=np.array([2.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "grid", [[0.1, np.nan], [0.1, np.inf], [np.nan, 0.1]], ids=["nan-last", "inf", "nan-first"]
+    )
+    def test_non_finite_grid_rejected_by_name(self, plant, surrogate, loop_designs, grid):
+        """A NaN or infinite gain is a DesignError that names the grid, raised
+        before any eigen solve and without a numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DesignError, match="K_grid must be finite"):
+                select_gain(plant.p_path, loop_designs[0].design, surrogate, (0.45, 0.90),
+                            K_grid=np.array(grid))
+
     def test_grid_without_nonzero_candidate_rejected(self, plant, surrogate, loop_designs):
         with pytest.raises(DesignError, match="no non-zero gain candidate"):
             select_gain(plant.p_path, loop_designs[0].design, surrogate, (0.45, 0.90),
@@ -479,7 +491,10 @@ class TestSelectGain:
         real = analysis.eigen
 
         def failing_at(gain):
-            bad = analysis._closed_stack(plant.p_path, ld.design, surrogate.pade, [gain])[0]
+            ss = plant.p_path
+            bad = analysis._closed_stack(
+                (ss.A, [ss.B], ss.C), [ld.design], surrogate.pade, [(gain,)]
+            )[0]
 
             def eigen(M):
                 if any(np.array_equal(m, bad) for m in np.reshape(M, (-1, *bad.shape))):
