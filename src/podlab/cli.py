@@ -126,8 +126,8 @@ def cmd_channel_fit(ctx: _Ctx) -> None:
 
 def cmd_sysid_prbs(ctx: _Ctx) -> None:
     plant = build_reference_plant(plant_config(ctx.cfg))
-    for tag, loop in _LOOPS:
-        u, y, fs = pipeline.run_prbs_experiment(ctx.cfg, plant, loop)
+    u, Y, fs = pipeline.run_prbs_experiment(ctx.cfg, plant)
+    for (tag, _), y in zip(_LOOPS, Y):
         rows = format_rows("t_s,u_pu,y_pu", np.arange(len(u)) / fs, u, y)
         ctx.write_csv(f"experiment_{tag}.csv", rows)
 
@@ -136,7 +136,7 @@ def cmd_sysid_fit(ctx: _Ctx) -> None:
     fs = ctx.cfg["identification"]["sample_rate_hz"]
     for tag, _ in _LOOPS:
         data = ctx.read_csv(f"experiment_{tag}.csv", "sysid prbs")
-        ident = pipeline.identify_path(ctx.cfg, data[:, 1], data[:, 2], fs)
+        (ident,) = pipeline.identify_path(ctx.cfg, data[:, 1], data[None, :, 2], fs)
         ctx.write_json(f"identified_{tag}.json", ident.to_dict())
 
 

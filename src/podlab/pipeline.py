@@ -34,20 +34,22 @@ class LoopDesign:
     diagnostics: poddesign.DesignDiagnostics
 
 
-def run_prbs_experiment(cfg: dict, plant: PlantPair, loop: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """PRBS excitation applied at the plant input, upstream of the channel.
+def run_prbs_experiment(cfg: dict, plant: PlantPair) -> tuple[np.ndarray, np.ndarray, float]:
+    """One PRBS excitation applied at the plant input, upstream of the
+    channel, and the response of each power path to it.
 
-    Returns (u, y, sample_rate_hz).
+    Returns (u, Y, sample_rate_hz), Y with the active path's output in row 0
+    and the reactive path's in row 1.
     """
-    ident = cfg["identification"]
-    fs = ident["sample_rate_hz"]
+    fs = cfg["identification"]["sample_rate_hz"]
     u = sysid.gen_prbs(prbs_config(cfg), sample_rate_hz=fs)
-    path = plant.p_path if loop == "active" else plant.q_path
-    y = zoh_lsim(path, u, 1.0 / fs)
-    return u, y, fs
+    Y = np.stack([zoh_lsim(path, u, 1.0 / fs) for path in (plant.p_path, plant.q_path)])
+    return u, Y, fs
 
 
-def identify_path(cfg: dict, u: np.ndarray, y: np.ndarray, fs: float) -> IdentifiedPlant:
+def identify_path(cfg: dict, u: np.ndarray, Y: np.ndarray, fs: float) -> list[IdentifiedPlant]:
+    """The identified plant of each row of Y, the outputs of one experiment
+    driven by u, from one input spectrum."""
     ident = cfg["identification"]
     band = tuple(ident["band_hz"])
     pcfg = prbs_config(cfg)
@@ -57,20 +59,17 @@ def identify_path(cfg: dict, u: np.ndarray, y: np.ndarray, fs: float) -> Identif
     period_samples = int(round(pcfg.period_s * fs))
     if len(u) > 3 * period_samples:
         u = u[period_samples:]
-        y = y[period_samples:]
+        Y = Y[:, period_samples:]
     nperseg = min(period_samples, len(u) // 2)
-    freqs, H = sysid.estimate_frf(u, y, fs, band, nperseg=nperseg, window="boxcar")
-    return sysid.fit_rational(freqs, H, order=ident["fit_order"])
+    freqs, H = sysid.estimate_frf(u, Y, fs, band, nperseg=nperseg)
+    return [sysid.fit_rational(freqs, h, order=ident["fit_order"]) for h in H]
 
 
 def identify_both(cfg: dict, plant: PlantPair | None = None) -> tuple[IdentifiedPlant, IdentifiedPlant]:
     if plant is None:
         plant = build_reference_plant(plant_config(cfg))
-    out = []
-    for loop in ("active", "reactive"):
-        u, y, fs = run_prbs_experiment(cfg, plant, loop)
-        out.append(identify_path(cfg, u, y, fs))
-    return tuple(out)
+    idp, idq = identify_path(cfg, *run_prbs_experiment(cfg, plant))
+    return idp, idq
 
 
 def surrogate_for(cfg: dict, mean_delay_s: float) -> DelaySurrogate:

@@ -112,59 +112,57 @@ def gen_prbs(cfg: PrbsConfig, sample_rate_hz: float) -> np.ndarray:
 
 
 def _spectra(
-    u: np.ndarray, y: np.ndarray, sample_rate_hz: float, window: str, nperseg: int
+    u: np.ndarray, Y: np.ndarray, sample_rate_hz: float, nperseg: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Welch spectra S_uu and S_uy on 50%-overlap segments, and the
-    magnitude-squared coherence from them plus S_yy.
+    """Boxcar Welch spectra on 50%-overlap segments: the one-sided bins, S_uu,
+    and S_uy and the coherence of each output row of Y.  One batched rfft per
+    signal, u's shared by every output, then csd's steps on (bins x segments)
+    arrays laid out as ShortTimeFFT's: each spectrum is scipy.signal.welch's
+    or csd's, bit for bit, and the coherence is scipy.signal.coherence's."""
+    # on first use: scipy.fft would more than double `import podlab.cli`'s time
+    import scipy.fft
 
-    One short-time FFT per signal, built as scipy.signal.csd builds its own,
-    then csd's steps: auto terms re^2 + im^2, the cross term S_y conj(S_u),
-    one-sided bins doubled, mean over segments.  Each spectrum equals what
-    welch or csd returns, bit for bit, from two transforms where the three
-    calls take four, and the coherence is scipy.signal.coherence's."""
-    # imported on first use: scipy.signal, and the scipy.stats it loads, would
-    # otherwise be most of the time taken by `import podlab.cli`
-    import scipy.signal
+    scale = 1.0 / math.sqrt(nperseg / (1.0 / sample_rate_hz))  # ShortTimeFFT's fac_psd
 
-    noverlap = nperseg // 2
-    sft = scipy.signal.ShortTimeFFT(
-        scipy.signal.get_window(window, nperseg), nperseg - noverlap, sample_rate_hz,
-        fft_mode="onesided", mfft=nperseg, scale_to="psd", phase_shift=None,
-    )
-    p1 = (len(u) - noverlap) // sft.hop
-    S_u, S_y = (
-        sft.stft_detrend(v, None, p0=0, p1=p1, k_offset=nperseg // 2) for v in (u, y)
-    )
+    def transform(x):
+        segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[:: nperseg - nperseg // 2]
+        return np.ascontiguousarray(scipy.fft.rfft(segments * scale).T)
 
     def average(P):
         P[1 : -1 if nperseg % 2 == 0 else None] *= 2  # the one-sided doubling
-        return P.mean(axis=-1).astype(complex)
+        return P.mean(axis=-1)
 
-    s_uu = average(S_u.real**2 + S_u.imag**2).real
-    s_yy = average(S_y.real**2 + S_y.imag**2).real
-    s_uy = average(S_y * S_u.conj())
-    # scipy.signal.coherence's own formula
-    return sft.f, s_uu, s_uy, np.abs(s_uy) ** 2 / s_uu / s_yy
+    S_u = transform(u)
+    s_uu = average(S_u.real**2 + S_u.imag**2)
+    s_uy = np.empty((len(Y), len(s_uu)), dtype=complex)
+    coh = np.empty(s_uy.shape)
+    for k, y in enumerate(Y):
+        S_y = transform(y)
+        # csd's own expression: numpy forms it in the temporary conjugate's
+        # buffer, as conj(S_u) * S_y, and its complex multiply is not bitwise
+        # commutative, so a conjugate shared by the outputs rounds differently
+        s_uy[k] = average(S_y * S_u.conj())
+        # coherence's own formula; NaN where S_uu or S_yy is zero
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coh[k] = np.abs(s_uy[k]) ** 2 / s_uu / average(S_y.real**2 + S_y.imag**2)
+    return scipy.fft.rfftfreq(nperseg, 1.0 / sample_rate_hz), s_uu, s_uy, coh
 
 
 def estimate_frf(
-    u: np.ndarray,
-    y: np.ndarray,
-    sample_rate_hz: float,
-    band_hz: tuple[float, float],
-    nperseg: int | None = None,
-    window: str = "hann",
+    u: np.ndarray, Y: np.ndarray, sample_rate_hz: float, band_hz: tuple[float, float], nperseg: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Welch cross-spectral FRF estimate H = S_uy / S_uu on the band.
-
-    Returns (freqs_hz, H).  Uses 50%-overlap segments; raises when the
-    coherence indicates insufficient excitation on more than 20% of the band
-    points.
+    """Welch cross-spectral FRF estimates H = S_uy / S_uu on the band, one row
+    of H per output row of Y driven by u: returns (freqs_hz, H).  Raises when
+    a trace is not finite, or when an output's coherence indicates
+    insufficient excitation on more than 20% of the band points.
     """
     u = np.asarray(u, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(u) != len(y):
-        raise SysidError("input and output traces must have equal length")
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != len(u):
+        raise SysidError("output traces must be rows as long as the input trace")
+    for name, v in (("input", u), ("output", Y)):
+        if not np.isfinite(v).all():
+            raise SysidError(f"{name} trace holds non-finite samples ({np.sum(~np.isfinite(v))})")
     lo, hi = band_hz
     duration = len(u) / sample_rate_hz
     if duration < 20.0 / lo:
@@ -172,21 +170,19 @@ def estimate_frf(
             f"trace of {duration:g} s too short; need >= {20.0 / lo:g} s for "
             f"band low {lo:g} Hz"
         )
-    if nperseg is None:
-        nperseg = 2 ** int(math.floor(math.log2(len(u) / 4)))
     if not 1 <= nperseg <= len(u):
         raise SysidError(f"nperseg = {nperseg} outside [1, {len(u)}] samples")
-    f, s_uu, s_uy, coh = _spectra(u, y, sample_rate_hz, window, nperseg)
+    f, s_uu, s_uy, coh = _spectra(u, Y, sample_rate_hz, nperseg)
     mask = (f >= lo) & (f <= hi) & (s_uu > 0)
     if not np.any(mask):
         raise SysidError("no spectral points inside the band")
-    n_low = int(np.sum(coh[mask] < _COHERENCE_LIMIT))
-    if n_low > 0.2 * int(np.sum(mask)):
+    n_band = int(np.sum(mask))
+    n_low = int(np.max(np.sum(~(coh[:, mask] >= _COHERENCE_LIMIT), axis=1)))  # NaN is low
+    if n_low > 0.2 * n_band:
         raise SysidError(
-            f"low excitation: coherence < {_COHERENCE_LIMIT} on {n_low} of "
-            f"{int(np.sum(mask))} band points"
+            f"low excitation: coherence < {_COHERENCE_LIMIT} on {n_low} of {n_band} band points"
         )
-    return f[mask], s_uy[mask] / s_uu[mask]
+    return f[mask], s_uy[:, mask] / s_uu[mask]
 
 
 @dataclass(frozen=True)

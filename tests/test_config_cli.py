@@ -367,6 +367,19 @@ def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_identification_leaves_scipy_signal_unloaded():
+    """The Welch spectra take their transforms from scipy.fft alone, so
+    identifying both paths loads no scipy.signal."""
+    code = (
+        "import sys, podlab.cli; from podlab import pipeline; "
+        "from podlab.config import default_config; "
+        "pipeline.identify_both(default_config()); print('scipy.signal' in sys.modules)"
+    )
+    out = _python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 # the CLI line prefix of each error class
 _PREFIXES = {
     errors.PodlabError: "podlab",

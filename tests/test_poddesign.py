@@ -617,21 +617,6 @@ def _bits(o):
     return o
 
 
-def _drawn_configs(base, n, seed):
-    """Plant and channel draws over the ranges the design-sweep benchmark uses."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        cfg = copy.deepcopy(base)
-        cfg["channel"]["delay"] = {"kind": "default-histogram", "mean_s": float(rng.uniform(0.29, 0.335))}
-        cfg["channel"]["rate_hz"] = float(rng.uniform(2.5, 10.0))
-        scale = float(rng.uniform(0.95, 1.05))
-        cfg["plant"]["mode_freqs_hz"] = [f * scale for f in cfg["plant"]["mode_freqs_hz"]]
-        cfg["plant"]["damping_ratios"] = [float(rng.uniform(0.015, 0.03)), float(rng.uniform(0.02, 0.04))]
-        out.append(cfg)
-    return out
-
-
 def _dogleg_starts(n_starts=8):
     """The start points design_compensator tries, in its order."""
     return [
@@ -642,10 +627,10 @@ def _dogleg_starts(n_starts=8):
 
 
 @pytest.fixture(scope="module")
-def drawn_cases(cfg, identified, surrogate):
+def drawn_cases(cfg, identified, surrogate, drawn_configs):
     """The default config and three drawn ones: (config, identified paths, surrogate)."""
     cases = [(cfg, identified, surrogate)]
-    for drawn in _drawn_configs(cfg, 3, seed=13):
+    for drawn in drawn_configs:
         cases.append((drawn, pipeline.identify_both(drawn), pipeline.design_surrogate(drawn)))
     return cases
 

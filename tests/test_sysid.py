@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 import scipy.signal
 
+from podlab import pipeline
 from podlab._sim import zoh_lsim
-from podlab.config import prbs_config
+from podlab.config import plant_config, prbs_config
 from podlab.errors import SysidError
 from podlab.lti import TransferFunction, mode_report, to_state_space
+from podlab.refplant import build_reference_plant
 from podlab.sysid import (
     IdentifiedPlant,
     _spectra,
@@ -113,14 +115,22 @@ class TestPrbs:
 
 
 class TestEstimateFrf:
+    # one PRBS period: the segment length identify_path uses
+    PERIOD = 10230
+
     def _prbs(self, fs=100.0, duration=400.0):
         cfg = PrbsConfig(register_bits=10, chip_period_s=0.1, amplitude_pu=1.0,
                          duration_s=duration)
         return gen_prbs(cfg, sample_rate_hz=fs)
 
+    def _frf(self, u, y, fs=100.0):
+        """The band and response of one output."""
+        freqs, (H,) = estimate_frf(u, y[None], fs, (0.1, 2.0), nperseg=self.PERIOD)
+        return freqs, H
+
     def test_static_gain(self):
         u = self._prbs()
-        _, H = estimate_frf(u, 2.0 * u, 100.0, (0.1, 2.0))
+        _, H = self._frf(u, 2.0 * u)
         for h in H:
             assert abs(h) == pytest.approx(2.0, abs=0.01)
             assert math.degrees(np.angle(h)) == pytest.approx(0.0, abs=1.0)
@@ -129,7 +139,7 @@ class TestEstimateFrf:
         fs = 100.0
         u = self._prbs(fs)
         y = np.concatenate([[0.0], u[:-1]])
-        freqs, H = estimate_frf(u, y, fs, (0.1, 2.0))
+        freqs, H = self._frf(u, y, fs)
         for f, h in zip(freqs, H):
             expect = -360.0 * f / fs
             assert math.degrees(np.angle(h)) == pytest.approx(expect, abs=0.5)
@@ -139,7 +149,7 @@ class TestEstimateFrf:
         u = self._prbs(fs)
         ss = to_state_space(TransferFunction([1.0], [1.0, 1.0]))
         y = zoh_lsim(ss, u, 1.0 / fs)
-        freqs, H = estimate_frf(u, y, fs, (0.1, 2.0))
+        freqs, H = self._frf(u, y, fs)
         for f, h in zip(freqs, H):
             s = 2j * math.pi * f
             exact = 1.0 / (1.0 + s)
@@ -148,47 +158,107 @@ class TestEstimateFrf:
             assert dphi == pytest.approx(0.0, abs=5.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(SysidError):
-            estimate_frf(np.zeros(100), np.zeros(99), 100.0, (0.1, 2.0))
+        # the outputs are a stack of rows, each as long as the input
+        for shape in [(1, 99), (100,)]:
+            with pytest.raises(SysidError, match="rows as long as the input"):
+                estimate_frf(np.zeros(100), np.zeros(shape), 100.0, (0.1, 2.0), nperseg=50)
 
     def test_short_trace_rejected(self):
         with pytest.raises(SysidError, match="short"):
-            estimate_frf(np.zeros(1000), np.zeros(1000), 100.0, (0.1, 2.0))
+            estimate_frf(np.zeros(1000), np.zeros((1, 1000)), 100.0, (0.1, 2.0), nperseg=500)
 
-    # odd nperseg has no Nyquist bin, so it doubles bins [1:], not [1:-1]
-    @pytest.mark.parametrize(
-        "window,nperseg", [("hann", 1024), ("hann", 1023), ("boxcar", 1024), ("boxcar", 1023)]
-    )
-    # boxcar-1024's Nyquist bin has S_uu = 0: NaN coherence here and in scipy
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
-    def test_spectra_equal_scipy_bitwise(self, window, nperseg):
-        # one short-time FFT per signal gives welch's and csd's spectra, and
-        # the coherence estimate_frf gates on is scipy.signal.coherence's
-        # value, bit for bit, though built from the spectra it already has
+    def _noisy_outputs(self):
         rng = np.random.default_rng(3)
         u = self._prbs()
         ss = to_state_space(TransferFunction([1.0], [1.0, 1.0]))
         y = zoh_lsim(ss, u, 0.01) + 0.05 * rng.normal(size=len(u))
-        f, s_uu, s_uy, coh = _spectra(u, y, 100.0, window, nperseg)
-        kw = dict(fs=100.0, window=window, nperseg=nperseg, noverlap=nperseg // 2, detrend=False)
-        f_ref, coh_ref = scipy.signal.coherence(u, y, **kw)
-        assert f.tobytes() == f_ref.tobytes()
-        assert coh.tobytes() == coh_ref.tobytes()
+        return u, np.stack([y, 0.5 * np.roll(u, 3) + 0.1 * rng.normal(size=len(u))])
+
+    # odd nperseg has no Nyquist bin, so it doubles bins [1:], not [1:-1]
+    @pytest.mark.parametrize(
+        "nperseg,n_out",
+        [
+            pytest.param(1024, 1, id="boxcar-1024"),
+            pytest.param(1023, 1, id="boxcar-1023"),
+            pytest.param(10230, 1, id="boxcar-10230"),
+            pytest.param(10230, 2, id="boxcar-10230-two-outputs"),
+        ],
+    )
+    # boxcar-1024's Nyquist bin has S_uu = 0: NaN coherence here and in scipy
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+    def test_spectra_equal_scipy_bitwise(self, nperseg, n_out):
+        # one batched transform per signal, u's shared by every output, gives
+        # welch's and csd's spectra of each pair, and the coherence
+        # estimate_frf gates on is scipy.signal.coherence's value, bit for
+        # bit, though built from the spectra it already has
+        u, Y = self._noisy_outputs()
+        Y = Y[:n_out]
+        f, s_uu, s_uy, coh = _spectra(u, Y, 100.0, nperseg)
+        kw = dict(fs=100.0, window="boxcar", nperseg=nperseg, noverlap=nperseg // 2, detrend=False)
         assert s_uu.tobytes() == scipy.signal.welch(u, **kw)[1].tobytes()
-        assert s_uy.tobytes() == scipy.signal.csd(u, y, **kw)[1].tobytes()
+        assert s_uy.shape[0] == coh.shape[0] == n_out
+        for y, s_uy_y, coh_y in zip(Y, s_uy, coh):
+            f_ref, coh_ref = scipy.signal.coherence(u, y, **kw)
+            assert f.tobytes() == f_ref.tobytes()
+            assert coh_y.tobytes() == coh_ref.tobytes()
+            assert s_uy_y.tobytes() == scipy.signal.csd(u, y, **kw)[1].tobytes()
+
+    def test_one_output_equals_its_row_of_a_stack(self):
+        u, Y = self._noisy_outputs()
+        freqs, H = estimate_frf(u, Y, 100.0, (0.1, 2.0), nperseg=self.PERIOD)
+        assert H.shape == (2, len(freqs))
+        for y, h in zip(Y, H):
+            f1, h1 = self._frf(u, y)
+            assert f1.tobytes() == freqs.tobytes()
+            assert h1.tobytes() == h.tobytes()
 
     @pytest.mark.parametrize("nperseg", [0, 60001])
     def test_segment_outside_trace_rejected(self, nperseg):
         u = self._prbs()
         with pytest.raises(SysidError, match="nperseg"):
-            estimate_frf(u, u, 100.0, (0.1, 2.0), nperseg=nperseg)
+            estimate_frf(u, u[None], 100.0, (0.1, 2.0), nperseg=nperseg)
 
     def test_low_coherence_rejected(self):
         rng = np.random.default_rng(0)
         u = self._prbs()
         y = rng.normal(size=len(u))  # unrelated output
         with pytest.raises(SysidError, match="coherence"):
-            estimate_frf(u, y, 100.0, (0.1, 2.0))
+            self._frf(u, y)
+
+    def test_zero_output_rejected(self):
+        """A zero output has NaN coherence (0 / 0) on every bin, which once
+        passed the `coh < 0.6` test and returned H = 0 on the whole band."""
+        u = self._prbs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SysidError, match="coherence < 0.6 on 194 of 194"):
+                self._frf(u, np.zeros_like(u))
+
+    @pytest.mark.parametrize("signal", ["input", "output"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sample_rejected(self, signal, bad):
+        """One NaN sample once gave an all-NaN response without an error."""
+        u = self._prbs()
+        y = 2.0 * u
+        (u if signal == "input" else y)[1234] = bad
+        with pytest.raises(SysidError, match=rf"{signal} trace holds non-finite samples \(1\)"):
+            self._frf(u, y)
+
+
+class TestOneExperiment:
+    """identify_both runs one experiment and estimates both paths from one
+    input spectrum; the CLI identifies each path from its own file."""
+
+    @pytest.mark.parametrize("case", [0, 1, 2])
+    def test_both_paths_equal_the_per_path_route(self, cfg, drawn_configs, case):
+        cfg = [cfg, *drawn_configs[:2]][case]
+        plant = build_reference_plant(plant_config(cfg))
+        u, Y, fs = pipeline.run_prbs_experiment(cfg, plant)
+        assert Y.shape == (2, len(u))
+        both = pipeline.identify_both(cfg, plant)
+        for y, ident in zip(Y, both):
+            (alone,) = pipeline.identify_path(cfg, u.copy(), y[None].copy(), fs)
+            assert repr(alone.to_dict()) == repr(ident.to_dict())
 
 
 class TestFitRational:
