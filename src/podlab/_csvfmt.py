@@ -1,26 +1,34 @@
-"""CSV rows of float columns: the one ``%.9g`` encoder of every CSV artifact.
+"""CSV text of float columns: the one ``%.9g`` encoder of every CSV artifact.
 
-The text is byte for byte what CPython's ``'%.9g' % v`` prints, but most
-values are encoded a chunk of rows at a time with numpy.  For a finite value
-with decimal exponent ``X = floor(log10|v|)`` in [-14, 30], ``10**|8 - X|`` is
-an exact double, so ``s = |v| * 10**(8 - X)`` is one correctly rounded
-operation and lies within half an ulp (below 6e-8) of the exact product.
-Unless the fraction of ``s`` is within 1e-6 of one half, ``rint(s)`` is then
-the 9-digit mantissa that CPython's correctly rounded conversion (Gay 1990)
-prints.  A floor one too high (``log10`` rounding up to an integer) is only
-possible within a few ulps of a power of ten, where both exponents print the
-same text; one too low gives ``s >= 1e9`` and is caught.  Each field is laid
-out from a byte pattern keyed on ``X``, the digits left after stripping
-trailing zeros, the sign and whether it ends the row, with keys of its own
-for ``0`` and ``-0``.  A row holding any other value (nan, ±inf, ``X`` out of
-range, a near-tie, a mantissa that rounds up to ``1e9``) is printed by
-CPython ``%`` instead.
+``format_text`` gives the whole text and ``format_rows`` its lines.  The text
+is byte for byte what CPython's ``'%.9g' % v`` prints, but most values are
+encoded with numpy, one column of up to ``_SPAN`` rows at a time.  Only the
+first value of each run of bitwise-equal values is encoded, and its field is
+copied down the run; so ``0.0`` and ``-0.0``, or two nan payloads, are
+separate runs.  For a finite value with decimal exponent
+``X = floor(log10|v|)`` in [-14, 30], ``10**|8 - X|`` is an exact double, so
+``s = |v| * 10**(8 - X)`` is one correctly rounded operation and lies within
+half an ulp (below 6e-8) of the exact product.  Unless the fraction of ``s``
+is within 1e-6 of one half, ``rint(s)`` is then the 9-digit mantissa that
+CPython's correctly rounded conversion (Gay 1990) prints.  A floor one too
+high (``log10`` rounding up to an integer) is only possible within a few
+ulps of a power of ten, where both exponents print the same text; one too
+low gives ``s >= 1e9`` and is caught.  Each field is laid out from a byte
+pattern keyed on ``X``, the digits left after stripping trailing zeros, the
+sign and whether it ends the row, with keys of its own for ``0`` and ``-0``.
+The fields of ``_CHUNK`` rows are joined into one text at a time.  A row
+holding any other value (nan, ±inf, ``X`` out of range, a near-tie, a
+mantissa that rounds up to ``1e9``) is printed by CPython ``%`` instead.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
-# rows encoded at a time, which bounds the transient arrays and strings: at
+# rows of a column encoded at a time, which bounds the transient arrays
+_SPAN = 4096
+# rows joined into one text at a time, which bounds the transient strings: at
 # 1 024 rows they raised the peak memory of formatting a 30 s trace by 0.5 MB
 _CHUNK = 512
 
@@ -98,41 +106,91 @@ def _mantissa(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return slot, np.where(ok, m, 1e8).astype(np.intp), ok
 
 
-def _encode(block: np.ndarray) -> list[str]:
-    """Rows of a 2-D float block, each without its newline."""
-    n_rows, n_cols = block.shape
-    v = block.ravel()
+def _words(v: np.ndarray, end: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's 16-byte field as an ``(n, 2)`` word array, followed by a
+    newline if ``end`` else a comma, and whether CPython must print it."""
     slot, m, ok = _mantissa(v)
     g0, g1, g2 = m // 1000000, m // 1000 % 1000, m % 1000
     key = 18 * slot + np.signbit(v) + np.maximum(np.maximum(_SIG_0[g0], _SIG_1[g1]), _SIG_2[g2])
-    key.reshape(n_rows, n_cols)[:, -1] += _N_KEYS
+    if end:
+        key += _N_KEYS
     d_lo, d_hi = _TEXT_0[g0] | _TEXT_1[g1] | _TEXT_2[g2], _TEXT_8[g2]
     # the digits after the point move up one byte, which leaves it a gap
     after = _shl(d_lo & _AFTER_LO[key], d_hi & _AFTER_HI[key], _8)
     digits = (d_lo & _BEFORE_LO[key]) | after[0], (d_hi & _BEFORE_HI[key]) | after[1]
     lo, hi = _shl(*digits, _SHIFT[key])
-    fields = np.empty((v.size, 2), "<u8")
-    fields[:, 0] = _LIT_LO[key] | lo
-    fields[:, 1] = _LIT_HI[key] | hi
-    fields = fields.view(np.uint8).ravel()
-    rows = fields[fields != 0].tobytes().decode("ascii").split("\n")[:-1]
-    fallback = (~ok & (v != 0)).reshape(n_rows, n_cols).any(axis=1)
-    if fallback.any():
-        template = ",".join(["%.9g"] * n_cols)
-        for i in np.flatnonzero(fallback).tolist():
-            rows[i] = template % tuple(block[i].tolist())
-    return rows
+    words = np.empty((v.size, 2), "<u8")
+    words[:, 0] = _LIT_LO[key] | lo
+    words[:, 1] = _LIT_HI[key] | hi
+    return words, ~ok & (v != 0)
 
 
-def format_rows(header: str, *columns: np.ndarray) -> list[str]:
-    """``header``, then row i of ``columns`` with every value as ``%.9g``.
+def _encode_column(v: np.ndarray, end: bool, out: np.ndarray) -> np.ndarray:
+    """Write the fields of ``v`` to ``out`` and return whether CPython must
+    print each value.
 
-    Raises ``ValueError`` when the columns differ in length.
+    Only the first value of each run of bitwise-equal values is encoded; its
+    words are copied down the run.
     """
+    bits = v.view(np.int64)
+    first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    if first.size == v.size:
+        out[:], fallback = _words(v, end)
+        return fallback
+    words, fallback = _words(v[first], end)
+    runs = np.diff(np.append(first, v.size))
+    out[:] = np.repeat(words, runs, axis=0)
+    return np.repeat(fallback, runs)
+
+
+def _chunks(columns: list[np.ndarray]) -> Iterator[str]:
+    """The rows of ``columns``, ``_CHUNK`` rows to a text, each row ending in
+    a newline."""
+    n_rows, n_cols = len(columns[0]), len(columns)
+    fields = np.empty((min(n_rows, _SPAN), n_cols, 2), "<u8")
+    for i in range(0, n_rows, _SPAN):
+        span = [c[i : i + _SPAN] for c in columns]
+        n = len(span[0])
+        fallback = np.zeros(n, bool)
+        for j, v in enumerate(span):
+            fallback |= _encode_column(v, j == n_cols - 1, fields[:n, j])
+        for a in range(0, n, _CHUNK):
+            b = min(a + _CHUNK, n)
+            chunk = fields[a:b].view(np.uint8).ravel()
+            text = chunk[chunk != 0].tobytes().decode("ascii")
+            redo = np.flatnonzero(fallback[a:b]).tolist()
+            if redo:
+                rows = text.split("\n")
+                template = ",".join(["%.9g"] * n_cols)
+                for r in redo:
+                    rows[r] = template % tuple(float(c[a + r]) for c in span)
+                text = "\n".join(rows)
+            yield text
+
+
+def _columns(columns: tuple) -> list[np.ndarray]:
+    """``columns`` as float arrays, checked to be at least one and of one length."""
+    if not columns:
+        raise ValueError("at least one column is required")
     columns = [np.asarray(c, dtype=float) for c in columns]
     if len({len(c) for c in columns}) > 1:
         raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    return columns
+
+
+def format_text(header: str, *columns: np.ndarray) -> str:
+    """``header``, then row i of ``columns`` with every value as ``%.9g``,
+    each line ending in a newline.
+
+    Raises ``ValueError`` when there is no column or the columns differ in
+    length.
+    """
+    return "".join([header, "\n", *_chunks(_columns(columns))])
+
+
+def format_rows(header: str, *columns: np.ndarray) -> list[str]:
+    """The lines of ``format_text(header, *columns)``, without their newlines."""
     rows = [header]
-    for i in range(0, len(columns[0]), _CHUNK):
-        rows += _encode(np.stack([c[i : i + _CHUNK] for c in columns], axis=1))
+    for text in _chunks(_columns(columns)):
+        rows += text[:-1].split("\n")
     return rows

@@ -11,12 +11,13 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, channel as chan, pipeline, simloop
-from ._csvfmt import format_rows
+from ._csvfmt import format_text
 from .config import channel_config, load_config, plant_config, scenario_config
 from .delaymodel import DelaySurrogate
 from .errors import ConfigError, PodlabError
@@ -51,9 +52,10 @@ class _Ctx:
         payload = {"config_sha256": self.hash, "seed": seed, **payload}
         (self.out / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    def write_csv(self, name: str, rows: list[str], seed=None) -> None:
-        header = f"# config_sha256={self.hash} seed={seed}"
-        (self.out / name).write_text("\n".join([header] + rows) + "\n")
+    def write_csv(self, name: str, text: str, seed=None) -> None:
+        with (self.out / name).open("w") as f:
+            f.write(f"# config_sha256={self.hash} seed={seed}\n")
+            f.write(text)
 
     def _artifact(self, name: str, stage: str | None = None) -> Path:
         """The path of an earlier stage's artifact, which must exist."""
@@ -66,9 +68,24 @@ class _Ctx:
     def read_json(self, name: str) -> dict:
         return json.loads(self._artifact(name).read_text())
 
-    def read_csv(self, name: str, stage: str) -> np.ndarray:
-        """The numeric rows of a CSV artifact, below its manifest and header."""
-        return np.loadtxt(self._artifact(name, stage), delimiter=",", skiprows=2, ndmin=2)
+    def read_csv(self, name: str, stage: str, usecols: tuple[int, ...] | None = None) -> np.ndarray:
+        """The numeric rows of a CSV artifact below its manifest and header,
+        only the columns ``usecols`` if given.
+
+        Raises ``ConfigError``, naming the artifact and ``stage``, its writer,
+        when a cell does not parse, a row lacks a column that is read, the rows
+        differ in width while every column is read, or there is no data row.
+        """
+        path = self._artifact(name, stage)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2, usecols=usecols)
+        except ValueError as exc:
+            raise ConfigError(f"unreadable artifact {path} ({exc}); rerun '{stage}'") from None
+        if len(data) == 0:
+            raise ConfigError(f"artifact {path} has no data rows; rerun '{stage}'")
+        return data
 
     def identified(self) -> list[IdentifiedPlant]:
         """The identified p and q paths of ``sysid fit``."""
@@ -106,11 +123,11 @@ def cmd_plant_build(ctx: _Ctx) -> None:
 def cmd_channel_measure(ctx: _Ctx) -> None:
     n = ctx.cfg["channel"]["campaign_messages"]
     log = chan.measure_campaign(channel_config(ctx.cfg), n, ctx.channel_seed)
-    ctx.write_csv("delay_log.csv", log.csv_rows(), seed=ctx.channel_seed)
+    ctx.write_csv("delay_log.csv", "\n".join(log.csv_rows()) + "\n", seed=ctx.channel_seed)
 
 
 def cmd_channel_fit(ctx: _Ctx) -> None:
-    log = ctx.read_csv("delay_log.csv", "channel measure")
+    log = ctx.read_csv("delay_log.csv", "channel measure", usecols=(0, 1))
     delays = log[:, 1] - log[:, 0]
     edges = np.linspace(delays.min(), delays.max() * (1 + 1e-9), 21)
     probs = chan.bin_probs(np.histogram(delays, bins=edges)[0])
@@ -128,15 +145,15 @@ def cmd_sysid_prbs(ctx: _Ctx) -> None:
     plant = build_reference_plant(plant_config(ctx.cfg))
     u, Y, fs = pipeline.run_prbs_experiment(ctx.cfg, plant)
     for (tag, _), y in zip(_LOOPS, Y):
-        rows = format_rows("t_s,u_pu,y_pu", np.arange(len(u)) / fs, u, y)
-        ctx.write_csv(f"experiment_{tag}.csv", rows)
+        text = format_text("t_s,u_pu,y_pu", np.arange(len(u)) / fs, u, y)
+        ctx.write_csv(f"experiment_{tag}.csv", text)
 
 
 def cmd_sysid_fit(ctx: _Ctx) -> None:
     fs = ctx.cfg["identification"]["sample_rate_hz"]
     for tag, _ in _LOOPS:
-        data = ctx.read_csv(f"experiment_{tag}.csv", "sysid prbs")
-        (ident,) = pipeline.identify_path(ctx.cfg, data[:, 1], data[None, :, 2], fs)
+        u, y = ctx.read_csv(f"experiment_{tag}.csv", "sysid prbs", usecols=(1, 2)).T
+        (ident,) = pipeline.identify_path(ctx.cfg, u, y[None], fs)
         ctx.write_json(f"identified_{tag}.json", ident.to_dict())
 
 
@@ -176,8 +193,9 @@ def cmd_analyze_bode(ctx: _Ctx) -> None:
             design.compensator_tf(), design.washout_tf(), design.gain,
             surrogate.pade, ident.tf,
         )
-        ctx.write_csv(f"bode_plant_delay_{tag}.csv", analysis.bode_table(plant_delay, band, 200))
-        ctx.write_csv(f"bode_open_loop_{tag}.csv", analysis.bode_table(g, band, 200))
+        for stem, tf in (("bode_plant_delay", plant_delay), ("bode_open_loop", g)):
+            rows = analysis.bode_table(tf, band, 200)
+            ctx.write_csv(f"{stem}_{tag}.csv", "\n".join(rows) + "\n")
 
 
 def cmd_analyze_eig(ctx: _Ctx) -> None:
@@ -231,7 +249,7 @@ def cmd_sim_run(ctx: _Ctx) -> None:
         duration_s=sim["duration_s"],
         dt=sim["dt_s"],
     )
-    ctx.write_csv("trace.csv", trace.csv_rows(), seed=ctx.base_seed)
+    ctx.write_csv("trace.csv", trace.csv_text(), seed=ctx.base_seed)
 
 
 def cmd_sim_ensemble(ctx: _Ctx) -> None:

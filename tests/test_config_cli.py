@@ -580,6 +580,33 @@ class TestCliErrors:
         assert proc.stderr.startswith("simloop: the POD-off energy over metric window (0.0, 0.5) is 0")
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "stage, name, earlier, corrupt",
+        [
+            (["sysid", "fit"], "experiment_p.csv", "sysid prbs",
+             lambda rows: rows[:4] + ["0.002,abc,0.5"] + rows[5:]),
+            (["sysid", "fit"], "experiment_q.csv", "sysid prbs",
+             lambda rows: rows[:4] + ["0.002,1"] + rows[5:]),
+            (["channel", "fit"], "delay_log.csv", "channel measure", lambda rows: rows[:2]),
+            (["channel", "fit"], "delay_log.csv", "channel measure",
+             lambda rows: rows[:2] + [r.split(",")[0] for r in rows[2:]]),
+        ],
+        ids=["non-numeric-cell", "short-row", "header-only", "one-column"],
+    )
+    def test_malformed_csv_console_has_no_traceback(
+        self, workdir, pipeline_out, tmp_path, stage, name, earlier, corrupt
+    ):
+        _, cfg_path, _ = workdir
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        path = out / name
+        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+        proc = _python("-m", "podlab.cli", *stage, "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("cli: ") and str(path) in proc.stderr
+        assert proc.stderr.endswith(f"rerun '{earlier}'\n")
+
     def test_missing_key_console_has_no_traceback(self, workdir, tmp_path):
         _, _, cfg = workdir
         bad = json.loads(json.dumps(cfg))

@@ -1,12 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from podlab import _csvfmt
-from podlab._csvfmt import format_rows
+from podlab._csvfmt import format_rows, format_text
 from podlab.config import channel_config, scenario_config
 from podlab.simloop import run_closed_loop
+
+
+@pytest.fixture(scope="module")
+def default_trace(cfg, plant, loop_designs):
+    """The default config's 30 s closed-loop trace."""
+    sim = cfg["simulation"]
+    dp, dq = (ld.design for ld in loop_designs)
+    return run_closed_loop(
+        plant, dp, dq, channel_config(cfg), scenario_config(cfg),
+        seed=sim["base_seed"], duration_s=sim["duration_s"], dt=sim["dt_s"],
+    )
 
 
 def _per_cell(header, *columns):
@@ -46,6 +59,61 @@ def _assert_cpython_bytes(x):
     assert format_rows("v,w", x, y) == ["v,w"] + ["%.9g,%.9g" % r for r in zip(x.tolist(), y.tolist())]
 
 
+def _assert_runs_print_per_cell(*columns):
+    """Both entry points print each cell of ``columns`` as CPython's ``%``."""
+    header = ",".join(f"c{j}" for j in range(len(columns)))
+    rows = format_rows(header, *columns)
+    expect = [header] + [",".join("%.9g" % c[i] for c in columns) for i in range(len(columns[0]))]
+    assert rows == expect
+    assert format_text(header, *columns) == "\n".join(rows) + "\n"
+
+
+def _from_bits(*words):
+    return np.array(words, dtype=np.uint64).view(np.float64)
+
+
+class TestRuns:
+    """Only the first value of a run of bitwise-equal values is encoded."""
+
+    def test_runs_cross_chunk_and_span_boundaries(self):
+        chunk, span = _csvfmt._CHUNK, _csvfmt._SPAN
+        lengths = [chunk - 1, 2, chunk + 1, span - 2 * chunk - 3, 5, span, 1, 2 * chunk]
+        values = np.random.default_rng(17).normal(size=len(lengths))
+        runs = np.repeat(values, lengths)
+        n = runs.size
+        assert n > 2 * span
+        _assert_runs_print_per_cell(np.arange(n) / 100.0, runs, np.repeat(values[::-1], lengths))
+
+    def test_one_run_over_the_whole_column(self):
+        n = _csvfmt._SPAN + _csvfmt._CHUNK + 3
+        _assert_runs_print_per_cell(np.full(n, 0.1), np.full(n, -2.5e-7))
+
+    def test_zero_and_negative_zero_are_different_runs(self):
+        x = np.tile([0.0, -0.0], 700)
+        _assert_runs_print_per_cell(x, np.repeat([0.0, -0.0, 0.0], [600, 600, 200]))
+
+    def test_nans_with_different_payloads(self):
+        nans = _from_bits(0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001)
+        assert np.isnan(nans).all()
+        _assert_runs_print_per_cell(np.repeat(nans, 300), np.tile(nans, 300))
+
+    def test_values_left_to_cpython_repeated_in_a_run(self):
+        near_tie = 123456789.5 * 10.0**-3
+        assert not _csvfmt._mantissa(np.array([near_tie]))[2][0]
+        n = 3 * _csvfmt._CHUNK
+        x = np.repeat([1.5, 1e-320, near_tie, 1e-320, 2.0], [5, n, n, 1, 7])
+        _assert_runs_print_per_cell(x, np.arange(x.size, dtype=float))
+
+    def test_strided_columns(self):
+        x = np.repeat(np.random.default_rng(23).normal(size=(700, 3)), 7, axis=0)
+        x[::5, 1] = -0.0
+        _assert_runs_print_per_cell(x[:, 0], x[:, 1], x[::-1, 2])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_one_row_and_empty_columns(self, n):
+        _assert_runs_print_per_cell(np.full(n, 3.25), np.full(n, -0.0))
+
+
 def _neighbours(x):
     x = np.asarray(x, dtype=float)
     return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
@@ -55,6 +123,13 @@ class TestArrayEncoder:
     def test_unequal_column_lengths_raise(self):
         with pytest.raises(ValueError, match="differ in length"):
             format_rows("a,b", np.arange(3.0), np.arange(2.0))
+        with pytest.raises(ValueError, match="differ in length"):
+            format_text("a,b", np.arange(3.0), np.arange(2.0))
+
+    @pytest.mark.parametrize("fmt", [format_rows, format_text])
+    def test_no_column_raises(self, fmt):
+        with pytest.raises(ValueError, match="at least one column is required"):
+            fmt("t")
 
     def test_near_ties_and_their_neighbours(self):
         rng = np.random.default_rng(11)
@@ -90,18 +165,27 @@ class TestArrayEncoder:
         bits = np.random.default_rng(5).integers(0, 2**64, size=100_000, dtype=np.uint64)
         _assert_cpython_bytes(bits.view(np.float64))
 
-    def test_default_trace_takes_the_array_path(self, cfg, plant, loop_designs):
+    def test_default_trace_takes_the_array_path(self, default_trace):
         """A value sent to CPython prints the same bytes, only slower; the
         default trace's finite non-zero values must all stay on the array path."""
-        sim = cfg["simulation"]
-        dp, dq = (ld.design for ld in loop_designs)
-        trace = run_closed_loop(
-            plant, dp, dq, channel_config(cfg), scenario_config(cfg),
-            seed=sim["base_seed"], duration_s=sim["duration_s"], dt=sim["dt_s"],
-        )
+        trace = default_trace
         v = np.concatenate(
             [trace.t_s, trace.omega_g_pu, trace.p_D_sent, trace.p_D_recv, trace.q_D_sent, trace.q_D_recv]
         )
         finite_nonzero = np.isfinite(v) & (v != 0)
         assert finite_nonzero.sum() > 100_000
         assert _csvfmt._mantissa(v)[2][finite_nonzero].all()
+
+
+def test_default_trace_text_peak_memory(default_trace):
+    """The 30 s default trace as one text peaks at no more than 5.6 MB;
+    joining the list of one string per row that format_rows gives peaks at
+    about 6.3 MB."""
+    tracemalloc.start()
+    try:
+        text = default_trace.csv_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2_000_000
+    assert peak <= 5.6e6, peak
