@@ -75,6 +75,10 @@ class _Ctx:
         Raises ``ConfigError``, naming the artifact and ``stage``, its writer,
         when a cell does not parse, a row lacks a column that is read, the rows
         differ in width while every column is read, or there is no data row.
+        It raises too when the data rows hold more commas than the header's
+        per row, as a row with more fields than the header does; this counts
+        bytes and parses nothing a second time.  Callers read the last column,
+        so a row that lacks one fails the parse and cannot hide a longer one.
         """
         path = self._artifact(name, stage)
         try:
@@ -85,6 +89,19 @@ class _Ctx:
             raise ConfigError(f"unreadable artifact {path} ({exc}); rerun '{stage}'") from None
         if len(data) == 0:
             raise ConfigError(f"artifact {path} has no data rows; rerun '{stage}'")
+        raw = path.read_bytes()
+        header = raw.index(b"\n") + 1
+        body = raw.index(b"\n", header) + 1
+        width = raw.count(b",", header, body) + 1
+        # count 64 KiB at a time: one comparison array over the whole body
+        # would cost more in fresh pages than the count itself
+        codes = np.frombuffer(raw, np.uint8, offset=body)
+        commas = sum(
+            np.count_nonzero(codes[i : i + 65536] == ord(",")) for i in range(0, len(codes), 65536)
+        )
+        if commas != len(data) * (width - 1):
+            reason = _odd_row(raw, width)
+            raise ConfigError(f"unreadable artifact {path} ({reason}); rerun '{stage}'")
         return data
 
     def identified(self) -> list[IdentifiedPlant]:
@@ -104,6 +121,16 @@ class _Ctx:
         if path.exists():
             return DelaySurrogate.from_dict(json.loads(path.read_text()))
         return pipeline.design_surrogate(self.cfg)
+
+
+def _odd_row(raw: bytes, width: int) -> str:
+    """The first row of a CSV artifact, below its manifest and header, whose
+    field count is not ``width``."""
+    for number, row in enumerate(raw.split(b"\n")[2:], 3):
+        fields = row.count(b",") + 1
+        if row.strip() and fields != width:
+            return f"line {number} has {fields} fields, the header {width}"
+    return f"its rows do not hold {width} fields each"
 
 
 def cmd_plant_build(ctx: _Ctx) -> None:

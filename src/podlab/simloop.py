@@ -5,6 +5,7 @@ unit; single-transient traces and seeded 50-transient ensembles.
 """
 from __future__ import annotations
 
+import atexit
 import functools
 import math
 import os
@@ -456,6 +457,92 @@ def _batches(rows: list, workers: int) -> list[list]:
     return [rows[a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
+def _run_batches(run_batch, batches: list[list]) -> list[list[float]]:
+    """One worker's share: ``run_batch`` over consecutive batches."""
+    return [run_batch(b) for b in batches]
+
+
+# The process's fork pool, ((pid, workers), executor), or None.  It is
+# shared, so one thread at a time may run a multi-batch ensemble, and
+# concurrent.futures joins its workers when the interpreter exits.
+_pool = None
+
+
+def _fork_pool(workers: int):
+    """The process's pool of ``workers - 1`` fork workers, the caller being
+    the first worker.  It forks on first use and serves later calls while
+    the pid and ``workers`` stay the same, so a warm worker runs the code
+    as it was when it was forked; a pool of another worker count is joined
+    first."""
+    global _pool
+    key = (os.getpid(), workers)
+    if _pool is not None and _pool[0] != key:
+        _close_pool()
+    if _pool is None:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: a spawned worker would import numpy and podlab
+        # again, 0.7-1.2 s against some 10-20 ms for a forked pool on a
+        # 2-core VM
+        context = multiprocessing.get_context("fork")
+        _pool = key, ProcessPoolExecutor(workers - 1, mp_context=context)
+    return _pool[1]
+
+
+def _close_pool() -> None:
+    """Shut the pool down and join its workers.  A pool inherited through a
+    fork belongs to the parent, which joins it; the child only drops it."""
+    global _pool
+    if _pool is not None:
+        ((pid, _), executor), _pool = _pool, None
+        if pid == os.getpid():
+            executor.shutdown()
+
+
+# the exit hook of concurrent.futures has joined the workers by then; this
+# frees the executor while its module can still run its finaliser
+atexit.register(_close_pool)
+
+
+def _pooled(workers: int, run_batch, batches: list[list]) -> list[list[float]]:
+    """Each batch's energies, the caller's share run here and the others'
+    on the pool's workers.  A pool whose worker died since the last call is
+    replaced; one whose worker dies during this call is dropped and the
+    error raised.  Any error cancels or waits for the call's other batches
+    before it propagates; the pool stays up unless it broke."""
+    from concurrent.futures import wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    share = len(batches) // workers
+    shares = [batches[i : i + share] for i in range(share, len(batches), share)]
+
+    def submit():
+        pool = _fork_pool(workers)
+        return [pool.submit(_run_batches, run_batch, s) for s in shares]
+
+    # The caller submits the other shares, forking the pool on first use,
+    # before it runs its own, so its heap sees the same batch arrays as a
+    # serial run.
+    try:
+        futures = submit()
+    except BrokenProcessPool:  # a worker died since the last call
+        _close_pool()
+        futures = submit()
+    try:
+        per_batch = _run_batches(run_batch, batches[:share])
+        for future in futures:
+            per_batch += future.result()
+    except BaseException as exc:
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        if isinstance(exc, BrokenProcessPool):
+            _close_pool()
+        raise
+    return per_batch
+
+
 def ensemble(
     n_runs: int,
     base_seed: int,
@@ -481,7 +568,10 @@ def ensemble(
     daemonic caller runs all the batches in-process (``_pool_size``).
     Each run's metric equals that of ``run_closed_loop`` with its seed, bit
     for bit, in either case, as a run does not depend on its batch (see
-    ``_lockstep``).  The pool's processes are joined before this returns.
+    ``_lockstep``).  The workers form one pool per process, which later
+    calls reuse and the interpreter joins at exit (``_fork_pool``); a
+    changed worker count, as under a new affinity mask, or a dead worker
+    replaces it (``_pooled``).
     """
     if n_runs < 1:
         raise SimulationError("n_runs must be >= 1")
@@ -496,22 +586,9 @@ def ensemble(
     workers = _pool_size(len(rows))
     batches = _batches(rows, workers)
     if workers == 1:
-        per_batch = list(map(run_batch, batches))
+        per_batch = _run_batches(run_batch, batches)
     else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork, not spawn: a spawned worker would import numpy and podlab
-        # again, 0.7-1.2 s against some 10-20 ms for a forked pool on a
-        # 2-core VM.  The caller is the first worker: the pool forks when
-        # map submits the other shares, then the caller runs its own, so
-        # its heap sees the same batch arrays as a serial run and later
-        # work in this process allocates as it would after one.  Leaving
-        # the block shuts the pool down and joins it.
-        share = len(batches) // workers
-        with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-            others = pool.map(run_batch, batches[share:], chunksize=share)
-            per_batch = [run_batch(b) for b in batches[:share]] + list(others)
+        per_batch = _pooled(workers, run_batch, batches)
     baseline, *metrics = (e for energies in per_batch for e in energies)
     if baseline == 0.0:
         raise SimulationError(

@@ -590,8 +590,13 @@ class TestCliErrors:
             (["channel", "fit"], "delay_log.csv", "channel measure", lambda rows: rows[:2]),
             (["channel", "fit"], "delay_log.csv", "channel measure",
              lambda rows: rows[:2] + [r.split(",")[0] for r in rows[2:]]),
+            (["sysid", "fit"], "experiment_p.csv", "sysid prbs",
+             lambda rows: rows[:4] + [rows[4] + ",7"] + rows[5:]),
+            (["channel", "fit"], "delay_log.csv", "channel measure",
+             lambda rows: rows[:3] + [rows[3] + ",9"] + rows[4:]),
         ],
-        ids=["non-numeric-cell", "short-row", "header-only", "one-column"],
+        ids=["non-numeric-cell", "short-row", "header-only", "one-column", "long-row",
+             "long-row-delay-log"],
     )
     def test_malformed_csv_console_has_no_traceback(
         self, workdir, pipeline_out, tmp_path, stage, name, earlier, corrupt
@@ -606,6 +611,31 @@ class TestCliErrors:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("cli: ") and str(path) in proc.stderr
         assert proc.stderr.endswith(f"rerun '{earlier}'\n")
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("0.008,0.05,0,7", "line 6 has 4 fields, the header 3"),
+            ("0.008,0.05,0,", "line 6 has 4 fields, the header 3"),
+            ("# 0.008,0.05,0", "its rows do not hold 3 fields each"),
+        ],
+        ids=["extra-field", "trailing-comma", "comment-with-a-full-row"],
+    )
+    def test_row_wider_than_the_header_is_named(
+        self, workdir, pipeline_out, tmp_path, capsys, row, reason
+    ):
+        """loadtxt reads only the columns it is asked for; the comma count
+        refuses a row with more fields than the header, and names its line."""
+        _, cfg_path, _ = workdir
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        path = out / "experiment_p.csv"
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(rows[:5] + [row] + rows[5:]) + "\n")
+        assert main(["sysid", "fit", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"cli: unreadable artifact {path} ({reason}); rerun 'sysid prbs'\n"
+        )
 
     def test_missing_key_console_has_no_traceback(self, workdir, tmp_path):
         _, _, cfg = workdir

@@ -2,8 +2,14 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import pickle
 import re
-import resource
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +88,40 @@ def _reference_run(model, chan, seed, duration_s, dt=1e-3):
         z = Ad @ z + Bd @ (pr, qr, dist.magnitude if on else 0.0)
     applied = tuple(tuple(tuple(ch.applied_times) for ch in chs) for chs in (p_ch, q_ch))
     return omega, applied
+
+
+@pytest.fixture
+def own_pool():
+    """Close the ensemble's worker pool around a test that patches simloop,
+    so the test's workers fork under its patches and serve no later test."""
+    simloop._close_pool()
+    yield
+    simloop._close_pool()
+
+
+def _worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _waited(done, timeout_s: float = 30.0) -> bool:
+    """Whether ``done()`` became true within the timeout."""
+    deadline = time.monotonic() + timeout_s
+    while not done():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def _reaped(pid: int) -> bool:
+    def gone():
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        return False
+
+    return _waited(gone)
 
 
 KINDS = (
@@ -537,35 +577,146 @@ class TestEnsembleWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert ensemble(*args, duration_s=2.0, dt=1e-3) == wide
 
-    def test_no_process_left_after_a_wide_ensemble(self, plant, designs, chan, scenario):
+    def _wide(self, plant, designs, chan, scenario, seed=3):
+        """A 3-batch ensemble: 2 * B + 1 rows."""
         dp, dq = designs
-        n_rows = 2 * self.B + 1
-        before = resource.getrusage(resource.RUSAGE_CHILDREN)
-        ensemble(n_rows - 1, 3, plant, dp, dq, chan, scenario, (0.5, 2.0), duration_s=2.0, dt=1e-3)
-        assert multiprocessing.active_children() == []
-        after = resource.getrusage(resource.RUSAGE_CHILDREN)
-        if simloop._pool_size(n_rows) > 1:
-            # the batches ran in joined children
-            assert after.ru_utime > before.ru_utime
+        return ensemble(
+            2 * self.B, seed, plant, dp, dq, chan, scenario, (0.5, 2.0), duration_s=2.0, dt=1e-3
+        )
 
-    def test_worker_error_reaches_the_caller(self, plant, designs, chan, scenario, monkeypatch):
+    def _serial(self, plant, designs, chan, scenario, seed=3):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            return self._wide(plant, designs, chan, scenario, seed)
+
+    def test_second_wide_ensemble_reuses_the_workers(self, plant, designs, chan, scenario):
+        workers = simloop._pool_size(2 * self.B + 1)
+        if workers == 1:
+            pytest.skip("one usable CPU: no worker is forked")
+        first = self._wide(plant, designs, chan, scenario)
+        pids = _worker_pids()
+        assert len(pids) == workers - 1
+        assert self._wide(plant, designs, chan, scenario) == first
+        assert _worker_pids() == pids
+        assert first == self._serial(plant, designs, chan, scenario)
+
+    def test_no_process_left_after_a_wide_ensemble(
+        self, plant, designs, chan, scenario, tmp_path
+    ):
+        """A process that ran wide ensembles joins its workers when it exits."""
+        workers = simloop._pool_size(2 * self.B + 1)
+        if workers == 1:
+            pytest.skip("one usable CPU: no worker is forked")
+        inputs = tmp_path / "inputs.pkl"
+        inputs.write_bytes(pickle.dumps((plant, *designs, chan, scenario)))
+        code = (
+            "import multiprocessing, pickle, sys\n"
+            "from podlab.simloop import ensemble\n"
+            "plant, dp, dq, chan, scenario = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "for seed in (3, 4):\n"
+            f"    ensemble({2 * self.B}, seed, plant, dp, dq, chan, scenario, (0.5, 2.0),"
+            " duration_s=2.0, dt=1e-3)\n"
+            "print(*[p.pid for p in multiprocessing.active_children()])\n"
+        )
+        src = str(Path(simloop.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(inputs)], env=env, capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")  # nothing printed at exit either
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == workers - 1  # one pool served both ensembles
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_killed_worker_is_replaced(self, plant, designs, chan, scenario, own_pool):
+        """A worker that died between calls: the next call forks a new pool."""
+        if simloop._pool_size(2 * self.B + 1) == 1:
+            pytest.skip("one usable CPU: no worker is forked")
+        serial = self._serial(plant, designs, chan, scenario)
+        assert self._wide(plant, designs, chan, scenario) == serial
+        old = _worker_pids()
+        for pid in old:
+            os.kill(pid, signal.SIGKILL)
+        # the pool's manager thread marks the pool broken, then reaps the worker
+        assert all(_reaped(pid) for pid in old)
+        assert self._wide(plant, designs, chan, scenario) == serial
+        new = _worker_pids()
+        assert new and not new & old
+
+    def test_worker_killed_during_a_call(
+        self, plant, designs, chan, scenario, monkeypatch, own_pool
+    ):
+        """A worker that dies during a call breaks that call; the next one
+        forks a new pool."""
+        if simloop._pool_size(2 * self.B + 1) == 1:
+            pytest.skip("one usable CPU: no worker is forked")
+        caller, lockstep = os.getpid(), simloop._lockstep
+
+        def die_in_a_child(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return lockstep(*args)
+
+        # the pool forks after this, so its worker dies on its first batch
+        monkeypatch.setattr(simloop, "_lockstep", die_in_a_child)
+        with pytest.raises(BrokenProcessPool):
+            self._wide(plant, designs, chan, scenario)
+        assert simloop._pool is None
+        monkeypatch.undo()
+        assert self._wide(plant, designs, chan, scenario) == self._serial(
+            plant, designs, chan, scenario
+        )
+
+    def test_changed_affinity_joins_the_old_workers(
+        self, plant, designs, chan, scenario, monkeypatch, own_pool
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        two = self._wide(plant, designs, chan, scenario)
+        old = _worker_pids()
+        assert len(old) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert self._wide(plant, designs, chan, scenario) == two
+        for pid in old:  # joined before the new pool forked
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        new = _worker_pids()
+        assert len(new) == 2 and not new & old
+        assert two == self._serial(plant, designs, chan, scenario)
+
+    def test_worker_error_reaches_the_caller(
+        self, plant, designs, chan, scenario, monkeypatch, own_pool, tmp_path
+    ):
+        caller = os.getpid()
+        pooled = simloop._pool_size(2 * self.B + 1) > 1
+        started, done = tmp_path / "started", tmp_path / "done"
+
         def fail(*args):
+            if os.getpid() == caller:
+                # the caller's share raises while a worker's batch runs
+                assert not pooled or _waited(started.exists)
+            else:
+                started.touch()
+                time.sleep(0.2)
+                done.touch()
             raise NyquistLimitError(0.9, 0.5)
 
-        # the workers fork after this, so they call it too
+        # the pool forks after this, so its workers call it too
         monkeypatch.setattr(simloop, "_lockstep", fail)
-        dp, dq = designs
         with pytest.raises(NyquistLimitError, match="NY-LIMIT: mode at 0.9 Hz") as info:
-            ensemble(
-                2 * self.B, 3, plant, dp, dq, chan, scenario, (0.5, 2.0), duration_s=2.0, dt=1e-3
-            )
+            self._wide(plant, designs, chan, scenario)
         assert (info.value.mode_freq_hz, info.value.f_max_hz) == (0.9, 0.5)
-        assert multiprocessing.active_children() == []
+        if pooled:
+            # the running batch was waited for, and the pool stays up
+            assert done.exists()
+            assert len(_worker_pids()) == simloop._pool_size(2 * self.B + 1) - 1
 
     def test_error_in_a_forked_worker_reaches_the_caller(
-        self, plant, designs, chan, scenario, monkeypatch
+        self, plant, designs, chan, scenario, monkeypatch, own_pool
     ):
-        if simloop._pool_size(2 * self.B + 1) == 1:
+        workers = simloop._pool_size(2 * self.B + 1)
+        if workers == 1:
             pytest.skip("one usable CPU: no worker is forked")
         caller, lockstep = os.getpid(), simloop._lockstep
 
@@ -576,13 +727,10 @@ class TestEnsembleWorkers:
 
         # the caller's own share runs; the forked worker's raises
         monkeypatch.setattr(simloop, "_lockstep", fail_in_a_child)
-        dp, dq = designs
         with pytest.raises(NyquistLimitError) as info:
-            ensemble(
-                2 * self.B, 3, plant, dp, dq, chan, scenario, (0.5, 2.0), duration_s=2.0, dt=1e-3
-            )
+            self._wide(plant, designs, chan, scenario)
         assert (info.value.mode_freq_hz, info.value.f_max_hz) == (0.9, 0.5)
-        assert multiprocessing.active_children() == []
+        assert len(_worker_pids()) == workers - 1  # the pool stays up
 
     def test_window_checked_before_any_batch(self, plant, designs, chan, scenario, monkeypatch):
         monkeypatch.setattr(simloop, "_batches", None)
