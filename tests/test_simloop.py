@@ -113,15 +113,12 @@ def _waited(done, timeout_s: float = 30.0) -> bool:
     return True
 
 
-def _reaped(pid: int) -> bool:
-    def gone():
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
         return False
-
-    return _waited(gone)
+    return True
 
 
 KINDS = (
@@ -577,17 +574,17 @@ class TestEnsembleWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert ensemble(*args, duration_s=2.0, dt=1e-3) == wide
 
-    def _wide(self, plant, designs, chan, scenario, seed=3):
+    def _wide(self, plant, designs, chan, scenario):
         """A 3-batch ensemble: 2 * B + 1 rows."""
         dp, dq = designs
         return ensemble(
-            2 * self.B, seed, plant, dp, dq, chan, scenario, (0.5, 2.0), duration_s=2.0, dt=1e-3
+            2 * self.B, 3, plant, dp, dq, chan, scenario, (0.5, 2.0), duration_s=2.0, dt=1e-3
         )
 
-    def _serial(self, plant, designs, chan, scenario, seed=3):
+    def _serial(self, plant, designs, chan, scenario):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
-            return self._wide(plant, designs, chan, scenario, seed)
+            return self._wide(plant, designs, chan, scenario)
 
     def test_second_wide_ensemble_reuses_the_workers(self, plant, designs, chan, scenario):
         workers = simloop._pool_size(2 * self.B + 1)
@@ -626,9 +623,7 @@ class TestEnsembleWorkers:
         assert (proc.returncode, proc.stderr) == (0, "")  # nothing printed at exit either
         pids = [int(pid) for pid in proc.stdout.split()]
         assert len(pids) == workers - 1  # one pool served both ensembles
-        for pid in pids:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
+        assert not any(map(_alive, pids))
 
     def test_killed_worker_is_replaced(self, plant, designs, chan, scenario, own_pool):
         """A worker that died between calls: the next call forks a new pool."""
@@ -640,7 +635,7 @@ class TestEnsembleWorkers:
         for pid in old:
             os.kill(pid, signal.SIGKILL)
         # the pool's manager thread marks the pool broken, then reaps the worker
-        assert all(_reaped(pid) for pid in old)
+        assert _waited(lambda: not any(map(_alive, old)))
         assert self._wide(plant, designs, chan, scenario) == serial
         new = _worker_pids()
         assert new and not new & old
@@ -678,9 +673,7 @@ class TestEnsembleWorkers:
         assert len(old) == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert self._wide(plant, designs, chan, scenario) == two
-        for pid in old:  # joined before the new pool forked
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
+        assert not any(map(_alive, old))  # joined before the new pool forked
         new = _worker_pids()
         assert len(new) == 2 and not new & old
         assert two == self._serial(plant, designs, chan, scenario)
