@@ -1,9 +1,9 @@
 """Fast zero-order-hold LTI stepping shared by the sysid and simloop drivers.
 
 Uses the exact matrix-exponential discretization; this is podlab's only
-time-domain integrator.  The exponential is computed with numpy alone:
-scipy's bundled OpenBLAS LAPACK wakes a worker pool whose idle spin slows
-the single-threaded Python that follows each call (see the README).
+time-domain integrator.  The exponential is computed with numpy alone, as is
+all of podlab: scipy's bundled OpenBLAS LAPACK wakes a worker pool whose idle
+spin slows the single-threaded Python that follows each call (see the README).
 """
 from __future__ import annotations
 

@@ -7,6 +7,7 @@ quantization, and the measurement pipeline used to characterise the channel
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ class DelayDistribution:
     sigma: float = 0.0
 
     def __post_init__(self):
+        fields = ("tau_min", "tau_max", "bin_edges", "bin_probs", "mu", "sigma", "mean_s")
+        _require_finite(**{name: getattr(self, name) for name in fields})
         if self.kind not in ("empirical-histogram", "uniform", "truncated-normal", "point-mass"):
             raise ChannelError(f"unknown delay kind {self.kind!r}")
         if not (0 <= self.tau_min <= self.tau_max):
@@ -89,15 +92,34 @@ class DelayDistribution:
 
     @classmethod
     def truncated_normal(cls, mu: float, sigma: float, low: float, high: float) -> "DelayDistribution":
+        _require_finite(mu=mu, sigma=sigma)
         if sigma <= 0 or not low < high:
             raise ChannelError("truncated normal requires sigma > 0 and low < high")
-        import scipy.stats  # on first use, as in sysid._spectra
-
-        a, b = (low - mu) / sigma, (high - mu) / sigma
-        mean = float(scipy.stats.truncnorm.mean(a, b, loc=mu, scale=sigma))
+        a, b, s, p0, p1 = _truncnorm_cdfs(mu, sigma, low, high)
+        mass = s * (p1 - p0)  # Phi(b) - Phi(a); it underflows about 37.5 sigma beyond mu
+        if not mass >= np.finfo(float).tiny:
+            raise ChannelError(f"N({mu:g}, {sigma:g}^2) mass underflows on [{low:g}, {high:g}]")
+        # the closed form mu + sigma (phi(a) - phi(b)) / (Phi(b) - Phi(a))
+        mean = mu + sigma * (math.exp(-a * a / 2) - math.exp(-b * b / 2)) / math.sqrt(math.tau) / mass
         return cls(
             kind="truncated-normal", tau_min=low, tau_max=high, mean_s=mean, mu=mu, sigma=sigma
         )
+
+
+def _require_finite(**fields) -> None:
+    """Raise ChannelError naming the first field (number or tuple) with a NaN or inf."""
+    for name, value in fields.items():
+        if not np.isfinite(value).all():
+            raise ChannelError(f"{name} must be finite, got {value!r}")
+
+
+def _truncnorm_cdfs(mu: float, sigma: float, low: float, high: float):
+    """(a, b, s, Phi(s a), Phi(s b)) of [low, high]'s standard bounds; s = -1 reflects
+    an interval above mu below it, where erfc keeps both CDFs' relative precision."""
+    a, b = (low - mu) / sigma, (high - mu) / sigma
+    s = -1.0 if a > 0 else 1.0
+    p0, p1 = (0.5 * math.erfc(-s * z / math.sqrt(2.0)) for z in (a, b))
+    return a, b, s, p0, p1
 
 
 # the stand-in histogram's lognormal spread (coefficient of variation),
@@ -153,6 +175,7 @@ class ChannelConfig:
     quantization_step: float = 0.0
 
     def __post_init__(self):
+        _require_finite(rate_hz=self.rate_hz, quantization_step=self.quantization_step)
         if not self.rate_hz > 0:
             raise ChannelError("rate_hz must be positive")
         if self.quantization_step < 0:
@@ -211,13 +234,13 @@ def sample_delays(dist: DelayDistribution, rng: np.random.Generator, n: int) -> 
         # Generator.uniform(low, high) returns low + (high - low) * u
         return edges[i] + (edges[i + 1] - edges[i]) * v
     if dist.kind == "truncated-normal":
-        import scipy.stats  # on first use, as in sysid._spectra
-
-        # inverse-CDF through the uniform keeps the draw stream reproducible
-        a = (dist.tau_min - dist.mu) / dist.sigma
-        b = (dist.tau_max - dist.mu) / dist.sigma
+        # inverse CDF x = mu + s sigma Phi^-1((1 - u) Phi(s a) + u Phi(s b)), u oriented
+        # as scipy's truncnorm.ppf; the clips hold p in (0, 1) and x on the support
+        _, _, s, p0, p1 = _truncnorm_cdfs(dist.mu, dist.sigma, dist.tau_min, dist.tau_max)
         u = rng.uniform(size=n)
-        return scipy.stats.truncnorm.ppf(u, a, b, loc=dist.mu, scale=dist.sigma)
+        p = np.clip((1.0 - u) * p0 + u * p1, 5e-324, 1.0 - 2**-53)
+        z = np.array(list(map(statistics.NormalDist().inv_cdf, p.tolist())))
+        return np.clip(dist.mu + s * dist.sigma * z, dist.tau_min, dist.tau_max)
     raise ChannelError(f"unknown delay kind {dist.kind!r}")
 
 

@@ -119,14 +119,11 @@ def _spectra(
     signal, u's shared by every output, then csd's steps on (bins x segments)
     arrays laid out as ShortTimeFFT's: each spectrum is scipy.signal.welch's
     or csd's, bit for bit, and the coherence is scipy.signal.coherence's."""
-    # on first use: scipy.fft would more than double `import podlab.cli`'s time
-    import scipy.fft
-
     scale = 1.0 / math.sqrt(nperseg / (1.0 / sample_rate_hz))  # ShortTimeFFT's fac_psd
 
     def transform(x):
         segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[:: nperseg - nperseg // 2]
-        return np.ascontiguousarray(scipy.fft.rfft(segments * scale).T)
+        return np.ascontiguousarray(np.fft.rfft(segments * scale).T)
 
     def average(P):
         P[1 : -1 if nperseg % 2 == 0 else None] *= 2  # the one-sided doubling
@@ -145,7 +142,7 @@ def _spectra(
         # coherence's own formula; NaN where S_uu or S_yy is zero
         with np.errstate(divide="ignore", invalid="ignore"):
             coh[k] = np.abs(s_uy[k]) ** 2 / s_uu / average(S_y.real**2 + S_y.imag**2)
-    return scipy.fft.rfftfreq(nperseg, 1.0 / sample_rate_hz), s_uu, s_uy, coh
+    return np.fft.rfftfreq(nperseg, 1.0 / sample_rate_hz), s_uu, s_uy, coh
 
 
 def estimate_frf(

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -48,9 +49,19 @@ def _scalar_draw(dist, rng):
         i = int(np.searchsorted(cum, rng.uniform() * cum[-1], side="right"))
         i = min(i, len(dist.bin_probs) - 1)
         return float(rng.uniform(dist.bin_edges[i], dist.bin_edges[i + 1]))
+    # the truncated normal's documented scalar formula: with s = -1 for an
+    # interval above mu, x = mu + s sigma Phi^-1((1 - u) Phi(s a) + u Phi(s b)),
+    # Phi from erfc, p clipped to (0, 1) and x to the support
+    def Phi(z):
+        return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
     a = (dist.tau_min - dist.mu) / dist.sigma
     b = (dist.tau_max - dist.mu) / dist.sigma
-    return float(scipy.stats.truncnorm.ppf(rng.uniform(), a, b, loc=dist.mu, scale=dist.sigma))
+    s = -1.0 if a > 0 else 1.0
+    u = rng.uniform()
+    p = min(max((1.0 - u) * Phi(s * a) + u * Phi(s * b), 5e-324), 1.0 - 2**-53)
+    x = dist.mu + s * dist.sigma * statistics.NormalDist().inv_cdf(p)
+    return min(max(x, dist.tau_min), dist.tau_max)
 
 
 def _reference_default_delay_distribution(mean_s):
@@ -154,6 +165,98 @@ class TestVectorisedDraws:
             assert np.array_equal([sample_delay(dist, one_rng) for _ in range(n)], ref)
             # the generator is left where the sequential draws leave it
             assert rng.uniform() == ref_rng.uniform() == one_rng.uniform()
+
+
+# (mu, sigma, low, high) with standard bounds a, b
+TRUNCNORM_INTERVALS = {
+    "interior": (0.3, 0.075, 0.05, 1.5),  # a = -3.3, b = 16
+    "interior-wide": (0.3, 0.5, 0.05, 1.5),  # a = -0.5, b = 2.4
+    "above": (0.2, 0.05, 0.3, 0.5),  # a = 2, b = 6
+    "below": (0.5, 0.1, 0.05, 0.3),  # a = -4.5, b = -2
+    "far-above": (0.3, 0.005, 0.45, 0.6),  # a = 30, b = 60
+    "far-below": (1.0, 0.02, 0.1, 0.3),  # a = -45, b = -35
+    "underflow-edge": (0.3, 0.005, 0.48, 0.49),  # a = 36, b = 38
+}
+
+
+class _FixedUniforms:
+    """A generator stand-in whose uniforms are the given values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def uniform(self, size):
+        assert size == len(self.u)
+        return self.u
+
+
+def _truncnorm(mu, sigma, low, high):
+    return scipy.stats.truncnorm((low - mu) / sigma, (high - mu) / sigma, loc=mu, scale=sigma)
+
+
+@pytest.mark.parametrize("args", TRUNCNORM_INTERVALS.values(), ids=TRUNCNORM_INTERVALS)
+class TestTruncatedNormalAgainstScipy:
+    """scipy.stats.truncnorm is the reference for the closed-form mean and
+    the inverse-CDF draws."""
+
+    def test_mean(self, args):
+        mean = DelayDistribution.truncated_normal(*args).mean_s
+        assert mean == pytest.approx(_truncnorm(*args).mean(), rel=1e-12, abs=0)
+
+    def test_draws_track_ppf(self, args):
+        tails = np.geomspace(1e-6, 0.5, 400)
+        u = np.concatenate([tails, np.linspace(0.0, 1.0, 1001)[1:-1], 1.0 - tails])
+        x = sample_delays(DelayDistribution.truncated_normal(*args), _FixedUniforms(u), len(u))
+        np.testing.assert_allclose(x, _truncnorm(*args).ppf(u), rtol=1e-10, atol=0)
+
+    def test_ks_statistic(self, args):
+        x = sample_delays(DelayDistribution.truncated_normal(*args), np.random.default_rng(11), 10_000)
+        # 1.36 / sqrt(n): the KS test's 5% critical value
+        assert scipy.stats.kstest(x, _truncnorm(*args).cdf).statistic < 0.0136
+
+    def test_support(self, args):
+        dist = DelayDistribution.truncated_normal(*args)
+        edges = [0.0, 2**-1074, 1e-300, 1.0 - 2**-53]
+        u = np.concatenate([edges, np.random.default_rng(12).uniform(size=1000)])
+        x = sample_delays(dist, _FixedUniforms(u), len(u))
+        assert np.all((dist.tau_min <= x) & (x <= dist.tau_max))
+
+
+class TestNonFiniteParameters:
+    """Each field must be finite: a NaN or an infinity once gave NaN or
+    infinite means and delays, or a bare OverflowError."""
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: DelayDistribution.truncated_normal(math.nan, 0.1, 0.05, 1.5), "mu"),
+            (lambda: DelayDistribution.truncated_normal(0.3, math.inf, 0.05, 1.5), "sigma"),
+            (lambda: DelayDistribution.empirical([0.1, math.nan, 0.3], [0.5, 0.5]), "bin_edges"),
+            (lambda: DelayDistribution.uniform(0.1, math.inf), "tau_max"),
+            (lambda: DelayDistribution.point_mass(math.inf), "tau_min"),
+        ],
+    )
+    def test_delay_distribution(self, build, field):
+        with pytest.raises(ChannelError, match=f"^{field} must be finite"):
+            build()
+
+    @pytest.mark.parametrize("field", ["rate_hz", "quantization_step"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_channel_config(self, field, value):
+        kwargs = {"rate_hz": 5.0, "quantization_step": 1e-3, field: value}
+        with pytest.raises(ChannelError, match=f"^{field} must be finite"):
+            ChannelConfig(delay=DelayDistribution.point_mass(0.1), emission="poisson", **kwargs)
+
+
+def test_truncation_interval_without_normal_mass_refused():
+    """From about 37.5 sigma beyond mu on, the interval's normal mass is
+    below float64's smallest normal number, and neither its mean nor its
+    draws would hold."""
+    with pytest.raises(ChannelError, match=r"N\(0.3, 0.005\^2\).*\[0.6, 0.7\]"):
+        DelayDistribution.truncated_normal(0.3, 0.005, 0.6, 0.7)
+    with pytest.raises(ChannelError, match="underflows"):
+        DelayDistribution.truncated_normal(1.0, 0.02, 0.1, 0.248)  # b = -37.6
+    DelayDistribution.truncated_normal(1.0, 0.02, 0.1, 0.26)  # b = -37
 
 
 class TestSchedule:

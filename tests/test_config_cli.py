@@ -213,17 +213,20 @@ def workdir(tmp_path_factory):
     return d, cfg_path, cfg
 
 
+# the ten CLI stages in pipeline order
+_STAGES = [
+    ["plant", "build"], ["channel", "measure"], ["channel", "fit"],
+    ["sysid", "prbs"], ["sysid", "fit"], ["design", "run"],
+    ["analyze", "bode"], ["analyze", "eig"],
+    ["sim", "run"], ["sim", "ensemble"],
+]
+
+
 @pytest.fixture(scope="module")
 def pipeline_out(workdir):
     d, cfg_path, _ = workdir
     out = d / "out"
-    stages = [
-        ["plant", "build"], ["channel", "measure"], ["channel", "fit"],
-        ["sysid", "prbs"], ["sysid", "fit"], ["design", "run"],
-        ["analyze", "bode"], ["analyze", "eig"],
-        ["sim", "run"], ["sim", "ensemble"],
-    ]
-    for stage in stages:
+    for stage in _STAGES:
         rc = main(stage + ["--config", str(cfg_path), "--out", str(out)])
         assert rc == 0, f"stage {stage} failed"
     return out
@@ -359,8 +362,8 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
-    """Every console-script stage imports podlab.cli; scipy.signal, and the
-    scipy.stats it imports, would be most of that import, so both load on first use."""
+    """Every console-script stage imports podlab.cli; podlab imports no scipy,
+    so neither scipy.signal nor scipy.stats loads with it."""
     code = "import sys, podlab.cli; print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
     out = _python("-c", code)
     assert out.returncode == 0, out.stderr
@@ -368,8 +371,8 @@ def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
 
 
 def test_identification_leaves_scipy_signal_unloaded():
-    """The Welch spectra take their transforms from scipy.fft alone, so
-    identifying both paths loads no scipy.signal."""
+    """The Welch spectra take their transforms from np.fft, so identifying
+    both paths loads no scipy.signal."""
     code = (
         "import sys, podlab.cli; from podlab import pipeline; "
         "from podlab.config import default_config; "
@@ -378,6 +381,34 @@ def test_identification_leaves_scipy_signal_unloaded():
     out = _python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_runs_with_scipy_blocked(tmp_path):
+    """podlab needs numpy alone: with every scipy import made to fail, the
+    ten stages on the default config write the bytes of an unblocked run,
+    and a truncated-normal channel builds and draws."""
+    config = Path(podlab.__file__).parent / "data" / "default_config.json"
+    chain = (
+        "from podlab.cli import main; "
+        f"assert all(main([*stage, '--config', {str(config)!r}, '--out', sys.argv[1]]) == 0 "
+        f"for stage in {_STAGES!r})"
+    )
+    draw = (
+        "import numpy as np; from podlab import channel; "
+        "delay = channel.DelayDistribution.truncated_normal(0.3, 0.075, 0.05, 1.5); "
+        "cfg = channel.ChannelConfig(delay, 5.0, 'poisson'); "
+        "print(len(channel.ChannelInstance(cfg, 10.0, np.random.default_rng(0)).t_arrive) > 0)"
+    )
+    blocked, free = tmp_path / "blocked", tmp_path / "free"
+    out = _python("-c", f"import sys; sys.modules['scipy'] = None; {chain}; {draw}", str(blocked))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().endswith("True")
+    out = _python("-c", f"import sys; {chain}", str(free))
+    assert out.returncode == 0, out.stderr
+    names = sorted(p.name for p in free.iterdir())
+    assert len(names) == 17
+    assert sorted(p.name for p in blocked.iterdir()) == names
+    assert all((blocked / n).read_bytes() == (free / n).read_bytes() for n in names)
 
 
 # the CLI line prefix of each error class

@@ -26,6 +26,26 @@ class TestNoUnusedImports:
         assert unused == []
 
 
+class TestNoScipy:
+    """numpy is the package's only runtime dependency: no module of it
+    imports scipy, at module level or inside a function."""
+
+    def test_no_scipy_import(self):
+        imports = []
+        for path in sorted(Path(podlab.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                imports += [
+                    f"{path.name}:{node.lineno}: {n}" for n in names if n.split(".")[0] == "scipy"
+                ]
+        assert imports == []
+
+
 class TestPoddesignAngles:
     """poddesign takes its angles from math.atan alone.  numpy's arctan is a
     SIMD kernel whose last bit depends on the CPU's features, so one call of
