@@ -1,11 +1,12 @@
 """CSV text of float columns: the one ``%.9g`` encoder of every CSV artifact.
 
-``format_text`` gives the whole text and ``format_rows`` its lines.  The text
-is byte for byte what CPython's ``'%.9g' % v`` prints, but most values are
-encoded with numpy, one column of up to ``_SPAN`` rows at a time.  Only the
-first value of each run of bitwise-equal values is encoded, and its field is
-copied down the run; so ``0.0`` and ``-0.0``, or two nan payloads, are
-separate runs.  For a finite value with decimal exponent
+``format_text``, the encoder's only entry point, gives the whole text, which
+the CLI writes as is.  The text is byte for byte what CPython's ``'%.9g' % v``
+prints, but most values are encoded with numpy, one column of up to
+``_SPAN`` rows at a time.  Only the first value of each run of bitwise-equal
+values is encoded, and its field is copied down the run; so ``0.0`` and
+``-0.0``, or two nan payloads, are separate runs.  For a finite value with
+decimal exponent
 ``X = floor(log10|v|)`` in [-14, 30], ``10**|8 - X|`` is an exact double, so
 ``s = |v| * 10**(8 - X)`` is one correctly rounded operation and lies within
 half an ulp (below 6e-8) of the exact product.  Unless the fraction of ``s``
@@ -168,16 +169,6 @@ def _chunks(columns: list[np.ndarray]) -> Iterator[str]:
             yield text
 
 
-def _columns(columns: tuple) -> list[np.ndarray]:
-    """``columns`` as float arrays, checked to be at least one and of one length."""
-    if not columns:
-        raise ValueError("at least one column is required")
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    if len({len(c) for c in columns}) > 1:
-        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
-    return columns
-
-
 def format_text(header: str, *columns: np.ndarray) -> str:
     """``header``, then row i of ``columns`` with every value as ``%.9g``,
     each line ending in a newline.
@@ -185,12 +176,9 @@ def format_text(header: str, *columns: np.ndarray) -> str:
     Raises ``ValueError`` when there is no column or the columns differ in
     length.
     """
-    return "".join([header, "\n", *_chunks(_columns(columns))])
-
-
-def format_rows(header: str, *columns: np.ndarray) -> list[str]:
-    """The lines of ``format_text(header, *columns)``, without their newlines."""
-    rows = [header]
-    for text in _chunks(_columns(columns)):
-        rows += text[:-1].split("\n")
-    return rows
+    if not columns:
+        raise ValueError("at least one column is required")
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    return "".join([header, "\n", *_chunks(columns)])

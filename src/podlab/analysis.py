@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._csvfmt import format_rows
+from ._csvfmt import format_text
 from .delaymodel import DelaySurrogate, pade_approx
 from .errors import AnalysisError
 from .lti import (
@@ -337,8 +337,8 @@ def delay_sweep(
     )
 
 
-def bode_table(tf: TransferFunction, band_hz: tuple[float, float], n_points: int) -> list[str]:
-    """CSV rows of the Bode response on a log grid including both endpoints."""
+def bode_table(tf: TransferFunction, band_hz: tuple[float, float], n_points: int) -> str:
+    """CSV text of the Bode response on a log grid including both endpoints."""
     if n_points < 2:
         raise AnalysisError("need at least 2 points")
     lo, hi = band_hz
@@ -349,4 +349,4 @@ def bode_table(tf: TransferFunction, band_hz: tuple[float, float], n_points: int
     with np.errstate(divide="ignore"):
         mags = 20.0 * np.log10(np.abs(_response(tf, freqs)))
     phases = unwrapped_phase_deg(tf, freqs)
-    return format_rows("freq_hz,mag_db,phase_deg", freqs, mags, phases)
+    return format_text("freq_hz,mag_db,phase_deg", freqs, mags, phases)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvfmt import format_rows
+from ._csvfmt import format_text
 from .errors import ChannelError
 
 __all__ = [
@@ -184,28 +184,25 @@ class ChannelConfig:
             raise ChannelError(f"unknown emission mode {self.emission!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelayLog:
-    records: tuple[tuple[float, float], ...]  # (t_sent, t_received)
+    """Send and receive times of a campaign's messages, in s."""
+
+    t_sent: np.ndarray
+    t_received: np.ndarray
 
     def __post_init__(self):
-        if any(r < s for s, r in self.records):
+        if np.shape(self.t_sent) != np.shape(self.t_received):
+            raise ChannelError("t_sent and t_received differ in shape")
+        if np.any(np.less(self.t_received, self.t_sent)):
             raise ChannelError("negative delay in log")
 
     @property
     def delays(self) -> np.ndarray:
-        return np.array([r - s for s, r in self.records])
+        return self.t_received - self.t_sent
 
-    @property
-    def t_sent(self) -> np.ndarray:
-        return np.array([s for s, _ in self.records])
-
-    @property
-    def t_received(self) -> np.ndarray:
-        return np.array([r for _, r in self.records])
-
-    def csv_rows(self) -> list[str]:
-        return format_rows("t_sent_s,t_received_s", self.t_sent, self.t_received)
+    def csv_text(self) -> str:
+        return format_text("t_sent_s,t_received_s", self.t_sent, self.t_received)
 
 
 def sample_delay(dist: DelayDistribution, rng: np.random.Generator) -> float:
@@ -378,8 +375,9 @@ def measure_campaign(cfg: ChannelConfig, n_messages: int, seed: int) -> DelayLog
     if n_messages < 1:
         raise ChannelError("n_messages must be >= 1")
     require_seed(seed, "seed", ChannelError)
-    delays = sample_delays(cfg.delay, np.random.default_rng(seed), n_messages).tolist()
-    return DelayLog(tuple((float(i), i + d) for i, d in enumerate(delays)))
+    delays = sample_delays(cfg.delay, np.random.default_rng(seed), n_messages)
+    t_sent = np.arange(n_messages, dtype=float)
+    return DelayLog(t_sent, t_sent + delays)
 
 
 _WINDOW_S = 1.0  # the counting window of throughput_stats, s

@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import warnings
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,10 @@ class _Ctx:
         self.seed = args.seed
         out = args.out or os.environ.get("PODLAB_OUT") or "podlab_out"
         self.out = Path(out)
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {self.out} ({exc})") from None
 
     @property
     def channel_seed(self) -> int:
@@ -57,16 +61,26 @@ class _Ctx:
             f.write(f"# config_sha256={self.hash} seed={seed}\n")
             f.write(text)
 
-    def _artifact(self, name: str, stage: str | None = None) -> Path:
-        """The path of an earlier stage's artifact, which must exist."""
+    def _artifact(self, name: str, stage: str) -> Path:
+        """The path of the artifact that ``stage`` writes, which must exist."""
         path = self.out / name
         if not path.exists():
-            earlier = "the earlier stage" if stage is None else f"'{stage}'"
-            raise ConfigError(f"required artifact {path} not found; run {earlier} first")
+            raise ConfigError(f"required artifact {path} not found; run '{stage}' first")
         return path
 
-    def read_json(self, name: str) -> dict:
-        return json.loads(self._artifact(name).read_text())
+    def read_json(self, name: str, stage: str, parse: Callable[[dict], object]):
+        """``parse`` of a JSON artifact's payload.
+
+        Raises ``ConfigError``, naming the artifact and ``stage``, its writer,
+        when the file cannot be read, is not UTF-8 JSON or lacks a key that
+        ``parse`` reads.
+        """
+        path = self._artifact(name, stage)
+        try:
+            return parse(json.loads(path.read_text(encoding="utf-8")))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
+            reason = f"no key {exc}" if isinstance(exc, KeyError) else exc
+            raise ConfigError(f"unreadable artifact {path} ({reason}); rerun '{stage}'") from None
 
     def read_csv(self, name: str, stage: str, usecols: tuple[int, ...] | None = None) -> np.ndarray:
         """The numeric rows of a CSV artifact below its manifest and header,
@@ -106,20 +120,26 @@ class _Ctx:
 
     def identified(self) -> list[IdentifiedPlant]:
         """The identified p and q paths of ``sysid fit``."""
-        names = [f"identified_{tag}.json" for tag, _ in _LOOPS]
-        return [IdentifiedPlant.from_dict(self.read_json(name)) for name in names]
+        return [
+            self.read_json(f"identified_{tag}.json", "sysid fit", IdentifiedPlant.from_dict)
+            for tag, _ in _LOOPS
+        ]
 
     def designs(self) -> tuple[list[CompensatorDesign], tuple[float, ...]]:
         """The p and q designs of ``design run``, and the target modes in Hz."""
-        payloads = [self.read_json(f"design_{tag}.json") for tag, _ in _LOOPS]
-        modes_hz = tuple(w / (2.0 * math.pi) for w in payloads[0]["mode_omegas_rad_s"])
-        return [CompensatorDesign.from_dict(d) for d in payloads], modes_hz
+        (dp, omegas), (dq, _) = (
+            self.read_json(
+                f"design_{tag}.json", "design run",
+                lambda d: (CompensatorDesign.from_dict(d), d["mode_omegas_rad_s"]),
+            )
+            for tag, _ in _LOOPS
+        )
+        return [dp, dq], tuple(w / (2.0 * math.pi) for w in omegas)
 
     def surrogate(self) -> DelaySurrogate:
         """The fitted surrogate of ``channel fit``, else the one the config implies."""
-        path = self.out / "delay_surrogate.json"
-        if path.exists():
-            return DelaySurrogate.from_dict(json.loads(path.read_text()))
+        if (self.out / "delay_surrogate.json").exists():
+            return self.read_json("delay_surrogate.json", "channel fit", DelaySurrogate.from_dict)
         return pipeline.design_surrogate(self.cfg)
 
 
@@ -150,13 +170,15 @@ def cmd_plant_build(ctx: _Ctx) -> None:
 def cmd_channel_measure(ctx: _Ctx) -> None:
     n = ctx.cfg["channel"]["campaign_messages"]
     log = chan.measure_campaign(channel_config(ctx.cfg), n, ctx.channel_seed)
-    ctx.write_csv("delay_log.csv", "\n".join(log.csv_rows()) + "\n", seed=ctx.channel_seed)
+    ctx.write_csv("delay_log.csv", log.csv_text(), seed=ctx.channel_seed)
 
 
 def cmd_channel_fit(ctx: _Ctx) -> None:
     log = ctx.read_csv("delay_log.csv", "channel measure", usecols=(0, 1))
     delays = log[:, 1] - log[:, 0]
-    edges = np.linspace(delays.min(), delays.max() * (1 + 1e-9), 21)
+    # when every delay is 0, a 1 ns top edge keeps the 20 bins from collapsing
+    top = delays.max() * (1 + 1e-9) or 1e-9
+    edges = np.linspace(delays.min(), top, 21)
     probs = chan.bin_probs(np.histogram(delays, bins=edges)[0])
     dist = chan.DelayDistribution.empirical(edges, probs)
     ctx.write_json(
@@ -221,8 +243,7 @@ def cmd_analyze_bode(ctx: _Ctx) -> None:
             surrogate.pade, ident.tf,
         )
         for stem, tf in (("bode_plant_delay", plant_delay), ("bode_open_loop", g)):
-            rows = analysis.bode_table(tf, band, 200)
-            ctx.write_csv(f"{stem}_{tag}.csv", "\n".join(rows) + "\n")
+            ctx.write_csv(f"{stem}_{tag}.csv", analysis.bode_table(tf, band, 200))
 
 
 def cmd_analyze_eig(ctx: _Ctx) -> None:

@@ -141,9 +141,11 @@ def load_config(path: str | Path) -> tuple[dict, str]:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        cfg = json.loads(path.read_text())
+        cfg = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path} ({exc})") from None
     return validate_config(cfg), config_hash(cfg)
 
 

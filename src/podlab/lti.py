@@ -215,10 +215,14 @@ def eigen(A: np.ndarray) -> np.ndarray:
 
 
 def unwrapped_phase_deg(tf: TransferFunction, freqs_hz: np.ndarray) -> np.ndarray:
-    """Phase of tf along an ascending grid, continued by nearest-multiple-of-360.
+    """Phase of tf along a strictly ascending grid, continued by
+    nearest-multiple-of-360.
 
     The continuation is anchored near DC so that the result is the true
-    accumulated phase, not the principal value.
+    accumulated phase, not the principal value.  It holds only while
+    neighbouring grid points lie less than 180 deg of phase apart; a coarser
+    grid loses whole turns.  Raises ``LtiError`` unless the grid strictly
+    ascends.
     """
     freqs_hz = np.asarray(freqs_hz, dtype=float)
     if freqs_hz.size == 0:
@@ -231,7 +235,12 @@ def unwrapped_phase_deg(tf: TransferFunction, freqs_hz: np.ndarray) -> np.ndarra
     # dense enough that a lightly damped resonance cannot alias the unwrap
     anchor = np.geomspace(f_lo / 100.0, f_lo, 600, endpoint=False)
     grid = np.concatenate([anchor, freqs_hz])
-    ph = np.unwrap(np.angle(_response(tf, grid)))
+    response = _response(tf, grid)  # first, so a bad frequency keeps its message
+    down = np.flatnonzero(np.diff(freqs_hz) <= 0)
+    if down.size:
+        a, b = freqs_hz[down[0] : down[0] + 2]
+        raise LtiError(f"frequencies must be strictly ascending, got {a} then {b} Hz")
+    ph = np.unwrap(np.angle(response))
     return np.degrees(ph[len(anchor):])
 
 

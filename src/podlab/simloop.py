@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvfmt import format_rows, format_text
+from ._csvfmt import format_text
 from ._sim import _BLOCK, zoh_discretize
 from .analysis import _ctrl_ss, loop_blocks
 from .channel import (
@@ -60,18 +60,16 @@ class SimTrace:
     p_applied_times: tuple[tuple[float, ...], ...] = ()
     q_applied_times: tuple[tuple[float, ...], ...] = ()
 
-    def _csv(self) -> tuple:
-        return (
+    def csv_text(self) -> str:
+        """The trace as CSV text, each row ending in a newline."""
+        return format_text(
             "t_s,omega_g_pu,pD_sent,pD_recv,qD_sent,qD_recv",
             self.t_s, self.omega_g_pu, self.p_D_sent, self.p_D_recv, self.q_D_sent, self.q_D_recv,
         )
 
     def csv_rows(self) -> list[str]:
-        return format_rows(*self._csv())
-
-    def csv_text(self) -> str:
-        """``csv_rows`` as one text, each row ending in a newline."""
-        return format_text(*self._csv())
+        """The lines of ``csv_text``, without their newlines."""
+        return self.csv_text().splitlines()
 
 
 @dataclass(frozen=True)

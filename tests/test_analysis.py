@@ -194,7 +194,9 @@ class TestDelaySweep:
 
 class TestBodeTable:
     def test_header_and_unity_rows(self):
-        rows = bode_table(TransferFunction.constant(1.0), (0.1, 2.0), 5)
+        text = bode_table(TransferFunction.constant(1.0), (0.1, 2.0), 5)
+        assert text.endswith("\n")
+        rows = text.splitlines()
         assert rows[0] == "freq_hz,mag_db,phase_deg"
         assert len(rows) == 6
         for row in rows[1:]:
@@ -203,14 +205,14 @@ class TestBodeTable:
             assert ph == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_band_endpoints(self):
-        rows = bode_table(TransferFunction.constant(2.0), (0.1, 2.0), 10)
+        rows = bode_table(TransferFunction.constant(2.0), (0.1, 2.0), 10).splitlines()
         freqs = [float(r.split(",")[0]) for r in rows[1:]]
         assert freqs[0] == pytest.approx(0.1)
         assert freqs[-1] == pytest.approx(2.0)
 
     def test_delay_phase_slope(self):
         theta = 0.3
-        rows = bode_table(pade_approx(theta, 5), (0.1, 1.5), 40)
+        rows = bode_table(pade_approx(theta, 5), (0.1, 1.5), 40).splitlines()
         for row in rows[1:]:
             f, mag, ph = (float(v) for v in row.split(","))
             assert ph == pytest.approx(-360.0 * f * theta, abs=1.0)
@@ -223,11 +225,11 @@ class TestBodeTable:
     def test_log_magnitude_additivity_of_series(self):
         a = leadlag_tf(1.0, 0.2, 0.5, 0.1)
         b = washout(5.0)
-        rows_a = bode_table(a, (0.1, 2.0), 12)[1:]
-        rows_b = bode_table(b, (0.1, 2.0), 12)[1:]
+        rows_a = bode_table(a, (0.1, 2.0), 12).splitlines()[1:]
+        rows_b = bode_table(b, (0.1, 2.0), 12).splitlines()[1:]
         from podlab.lti import series
 
-        rows_ab = bode_table(series(a, b), (0.1, 2.0), 12)[1:]
+        rows_ab = bode_table(series(a, b), (0.1, 2.0), 12).splitlines()[1:]
         for ra, rb, rab in zip(rows_a, rows_b, rows_ab):
             ma, mb, mab = (float(r.split(",")[1]) for r in (ra, rb, rab))
             # rows carry 9 significant digits, so allow formatting roundoff

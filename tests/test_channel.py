@@ -406,7 +406,7 @@ class TestCampaign:
             delay=DelayDistribution.point_mass(0.3), rate_hz=1.0, emission="jittered-periodic"
         )
         log = measure_campaign(cfg, 1200, seed=0)
-        assert len(log.records) == 1200
+        assert log.t_sent.shape == log.t_received.shape == (1200,)
         assert np.allclose(log.delays, 0.3, atol=1e-12)
 
     def test_zero_messages_rejected(self):
@@ -431,25 +431,43 @@ class TestCampaign:
         )
         l1 = measure_campaign(cfg, 100, seed=21)
         l2 = measure_campaign(cfg, 100, seed=21)
-        assert l1.records == l2.records
+        assert np.array_equal(l1.t_sent, l2.t_sent)
+        assert np.array_equal(l1.t_received, l2.t_received)
 
-    def test_negative_delay_rejected_by_log(self):
-        with pytest.raises(ChannelError):
-            DelayLog(((1.0, 0.5),))
-
-    def test_csv_rows(self):
-        log = DelayLog(((0.0, 0.3), (1.0, 1.25)))
-        rows = log.csv_rows()
-        assert rows[0] == "t_sent_s,t_received_s"
-        assert rows[1] == "0,0.3"
-
-    def test_csv_rows_match_per_cell_format(self):
+    def test_times_match_per_message_arithmetic(self):
+        """Message i is sent at float(i) and received at i + d, its delay
+        r - s: the array log holds exactly these floats."""
         cfg = ChannelConfig(
             delay=default_delay_distribution(0.3), rate_hz=1.0, emission="jittered-periodic"
         )
         log = measure_campaign(cfg, 500, seed=5)
-        expect = [f"{s:.9g},{r:.9g}" for s, r in log.records]
-        assert log.csv_rows()[1:] == expect
+        draws = sample_delays(cfg.delay, np.random.default_rng(5), 500).tolist()
+        records = [(float(i), i + d) for i, d in enumerate(draws)]
+        assert log.t_sent.tolist() == [s for s, _ in records]
+        assert log.t_received.tolist() == [r for _, r in records]
+        assert log.delays.tolist() == [r - s for s, r in records]
+
+    def test_negative_delay_rejected_by_log(self):
+        with pytest.raises(ChannelError, match="negative delay"):
+            DelayLog(np.array([0.0, 1.0]), np.array([0.3, 0.5]))
+
+    def test_log_columns_of_different_shapes_rejected(self):
+        with pytest.raises(ChannelError, match="differ in shape"):
+            DelayLog(np.array([0.0, 1.0]), np.array([0.3]))
+
+    def test_csv_rows(self):
+        """The rows of the log's CSV text."""
+        log = DelayLog(np.array([0.0, 1.0]), np.array([0.3, 1.25]))
+        assert log.csv_text() == "t_sent_s,t_received_s\n0,0.3\n1,1.25\n"
+
+    def test_csv_rows_match_per_cell_format(self):
+        """Each row of the log's CSV text against a per-cell ``%.9g``."""
+        cfg = ChannelConfig(
+            delay=default_delay_distribution(0.3), rate_hz=1.0, emission="jittered-periodic"
+        )
+        log = measure_campaign(cfg, 500, seed=5)
+        expect = [f"{s:.9g},{r:.9g}" for s, r in zip(log.t_sent.tolist(), log.t_received.tolist())]
+        assert log.csv_text() == "\n".join(["t_sent_s,t_received_s", *expect]) + "\n"
 
 
 class TestThroughput:

@@ -354,6 +354,42 @@ class TestArtifactRoundTrip:
         assert DelaySurrogate.from_dict(fitted) == pipeline.surrogate_for(cfg, mean_s)
 
 
+def _point_mass_fit(workdir, out: Path, value: float) -> tuple[dict, dict]:
+    """The histogram and surrogate that 'channel measure' and 'channel fit'
+    write for a point-mass channel at ``value`` s; both stages must exit 0."""
+    _, _, cfg = workdir
+    pm = json.loads(json.dumps(cfg))
+    pm["channel"]["delay"] = {"kind": "point-mass", "value": value}
+    cfg_path = out.parent / f"point_mass_{value}.json"
+    cfg_path.write_text(json.dumps(pm))
+    rcs = [main([*stage, "--config", str(cfg_path), "--out", str(out)]) for stage in _STAGES[1:3]]
+    assert rcs == [0, 0]
+    names = ("delay_histogram.json", "delay_surrogate.json")
+    return tuple(json.loads((out / name).read_text()) for name in names)
+
+
+class TestChannelFit:
+    def test_zero_delay_campaign_fits(self, workdir, tmp_path):
+        """Every delay 0 s: the 20 bins span 1 ns, and the surrogate's delay
+        is below it."""
+        hist, sur = _point_mass_fit(workdir, tmp_path / "out", 0.0)
+        edges = np.array(hist["bin_edges"])
+        assert edges[0] == 0.0 and edges[-1] == 1e-9
+        assert np.all(np.diff(edges) > 0)
+        assert hist["bin_probs"][0] == 1.0
+        assert 0.0 < sur["theta_s"] <= 1e-9
+
+    def test_non_zero_point_mass_keeps_its_edges(self, workdir, tmp_path):
+        """The edges span the logged delays' minimum to 1 + 1e-9 times their
+        maximum, as the CSV text holds them."""
+        hist, _ = _point_mass_fit(workdir, tmp_path / "out", 0.3)
+        log = np.loadtxt(tmp_path / "out" / "delay_log.csv", delimiter=",", skiprows=2)
+        delays = log[:, 1] - log[:, 0]
+        assert delays.min() < delays.max() < 0.3 + 1e-9
+        edges = np.linspace(delays.min(), delays.max() * (1 + 1e-9), 21)
+        assert hist["bin_edges"] == edges.tolist()
+
+
 def _python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter run with ``args`` on the package under test."""
     src = str(Path(podlab.__file__).parents[1])
@@ -501,7 +537,8 @@ class TestCliErrors:
         rc = main(["design", "run", "--config", str(cfg_path),
                    "--out", str(tmp_path / "empty")])
         assert rc == 1
-        assert "run the earlier stage first" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("cli: required artifact") and "run 'sysid fit' first" in err
 
     @pytest.mark.parametrize(
         "stage, earlier",
@@ -706,6 +743,74 @@ class TestCliErrors:
             ("analyze", "eig", None, "4"),
         ]
         assert len(built) == 1
+
+    def test_config_directory_reported(self, tmp_path, capsys):
+        rc = main(["plant", "build", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cli: cannot read config {tmp_path} (") and err.count("\n") == 1
+        assert "Is a directory" in err
+
+    def test_config_not_utf8_reported(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "Mälaren"}'.encode("latin-1"))
+        rc = main(["plant", "build", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cli: cannot read config {path} (") and err.count("\n") == 1
+        assert "can't decode" in err
+
+    def test_out_naming_a_file_reported(self, workdir, tmp_path, capsys):
+        _, cfg_path, _ = workdir
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main(["plant", "build", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cli: cannot create output directory {out} (") and err.count("\n") == 1
+        assert out.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize(
+        "stage, name, earlier, corrupt, reason",
+        [
+            (["sim", "run"], "design_p.json", "design run",
+             lambda text: text[: text.index(",")], "Expecting ',' delimiter"),
+            (["sim", "run"], "design_p.json", "design run",
+             lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "gain"}),
+             "no key 'gain'"),
+            (["design", "run"], "delay_surrogate.json", "channel fit",
+             lambda text: text[: text.index(",")], "Expecting ',' delimiter"),
+            (["analyze", "eig"], "identified_q.json", "sysid fit",
+             lambda text: text.replace('"modes"', '"nodes"'), "no key 'modes'"),
+        ],
+        ids=[
+            "truncated-design", "design-without-gain", "truncated-surrogate",
+            "identified-without-modes",
+        ],
+    )
+    def test_unreadable_json_artifact_reported(
+        self, workdir, pipeline_out, tmp_path, capsys, stage, name, earlier, corrupt, reason
+    ):
+        _, cfg_path, _ = workdir
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        path = out / name
+        path.write_text(corrupt(path.read_text()))
+        assert main([*stage, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cli: unreadable artifact {path} ({reason}")
+        assert err.endswith(f"); rerun '{earlier}'\n") and err.count("\n") == 1
+
+    def test_unreadable_json_artifact_console_has_no_traceback(self, workdir, pipeline_out, tmp_path):
+        _, cfg_path, _ = workdir
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        path = out / "design_p.json"
+        path.write_bytes(path.read_bytes()[:100])
+        proc = _python("-m", "podlab.cli", "sim", "run", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"cli: unreadable artifact {path} (")
+        assert proc.stderr.endswith("rerun 'design run'\n")
 
     def test_podlab_out_env_var(self, workdir, tmp_path, monkeypatch):
         _, cfg_path, _ = workdir

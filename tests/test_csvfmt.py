@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from podlab import _csvfmt
-from podlab._csvfmt import format_rows, format_text
+from podlab._csvfmt import format_text
 from podlab.config import channel_config, scenario_config
 from podlab.simloop import run_closed_loop
 
@@ -23,49 +23,52 @@ def default_trace(cfg, plant, loop_designs):
 
 
 def _per_cell(header, *columns):
-    return [header] + [",".join(f"{c[i]:.9g}" for c in columns) for i in range(len(columns[0]))]
+    """``header`` and each row of ``columns`` formatted cell by cell, as one text."""
+    rows = [header] + [",".join(f"{c[i]:.9g}" for c in columns) for i in range(len(columns[0]))]
+    return "\n".join(rows) + "\n"
 
 
 class TestFormatRows:
+    """Each row of ``format_text``'s text against a per-cell ``%.9g``."""
+
     def test_edge_values_match_per_cell_format(self):
         x = np.array(
             [0.0, -0.0, 1.0, -1.0, 0.1, 1e-300, 5e-324, -2.5e-17, 123456789.5, 1e21,
              np.nan, np.inf, -np.inf, 1 / 3, 2.0**53 + 2, np.nextafter(0.1, 1.0)]
         )
-        assert format_rows("a,b", x, x[::-1].copy()) == _per_cell("a,b", x, x[::-1])
+        assert format_text("a,b", x, x[::-1].copy()) == _per_cell("a,b", x, x[::-1])
 
     def test_rows_span_several_chunks(self):
         n = 2 * _csvfmt._CHUNK + 17
         rng = np.random.default_rng(3)
         cols = [np.arange(n) / 1000.0, rng.normal(size=n), rng.normal(scale=1e-5, size=n)]
-        rows = format_rows("t,u,y", *cols)
-        assert len(rows) == n + 1
-        assert rows == _per_cell("t,u,y", *cols)
+        text = format_text("t,u,y", *cols)
+        assert text.count("\n") == n + 1
+        assert text == _per_cell("t,u,y", *cols)
 
     def test_empty_columns_give_the_header(self):
-        assert format_rows("t", np.empty(0)) == ["t"]
+        assert format_text("t", np.empty(0)) == "t\n"
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
     def test_any_float_matches_per_cell_format(self, values):
         x = np.array(values)
-        assert format_rows("v,w", x, -x) == _per_cell("v,w", x, -x)
+        assert format_text("v,w", x, -x) == _per_cell("v,w", x, -x)
 
 
 def _assert_cpython_bytes(x):
     """Each value of ``x`` beside its mirror image, as CPython's ``%`` prints them."""
     x = np.asarray(x, dtype=float)
     y = -x[::-1]
-    assert format_rows("v,w", x, y) == ["v,w"] + ["%.9g,%.9g" % r for r in zip(x.tolist(), y.tolist())]
+    rows = ["v,w"] + ["%.9g,%.9g" % r for r in zip(x.tolist(), y.tolist())]
+    assert format_text("v,w", x, y) == "\n".join(rows) + "\n"
 
 
 def _assert_runs_print_per_cell(*columns):
-    """Both entry points print each cell of ``columns`` as CPython's ``%``."""
+    """The text prints each cell of ``columns`` as CPython's ``%``."""
     header = ",".join(f"c{j}" for j in range(len(columns)))
-    rows = format_rows(header, *columns)
     expect = [header] + [",".join("%.9g" % c[i] for c in columns) for i in range(len(columns[0]))]
-    assert rows == expect
-    assert format_text(header, *columns) == "\n".join(rows) + "\n"
+    assert format_text(header, *columns) == "\n".join(expect) + "\n"
 
 
 def _from_bits(*words):
@@ -122,14 +125,11 @@ def _neighbours(x):
 class TestArrayEncoder:
     def test_unequal_column_lengths_raise(self):
         with pytest.raises(ValueError, match="differ in length"):
-            format_rows("a,b", np.arange(3.0), np.arange(2.0))
-        with pytest.raises(ValueError, match="differ in length"):
             format_text("a,b", np.arange(3.0), np.arange(2.0))
 
-    @pytest.mark.parametrize("fmt", [format_rows, format_text])
-    def test_no_column_raises(self, fmt):
+    def test_no_column_raises(self):
         with pytest.raises(ValueError, match="at least one column is required"):
-            fmt("t")
+            format_text("t")
 
     def test_near_ties_and_their_neighbours(self):
         rng = np.random.default_rng(11)
@@ -179,8 +179,8 @@ class TestArrayEncoder:
 
 def test_default_trace_text_peak_memory(default_trace):
     """The 30 s default trace as one text peaks at no more than 5.6 MB;
-    joining the list of one string per row that format_rows gives peaks at
-    about 6.3 MB."""
+    joining a list of one string per row into the same text peaked at about
+    6.3 MB."""
     tracemalloc.start()
     try:
         text = default_trace.csv_text()

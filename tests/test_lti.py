@@ -113,6 +113,33 @@ class TestFreqResponse:
         with pytest.raises(LtiError, match=r"^no frequencies to evaluate$"):
             unwrapped_phase_deg(tf, np.array([]))
 
+    @pytest.mark.parametrize(
+        "freqs, named",
+        [
+            ([1.5, 0.1], "1.5 then 0.1"),
+            ([0.1, 0.5, 0.5], "0.5 then 0.5"),
+            ([0.1, 2.0, 1.0, 3.0], "2.0 then 1.0"),
+        ],
+        ids=["descending", "repeated", "one-step-down"],
+    )
+    def test_phase_rejects_a_grid_that_does_not_ascend(self, freqs, named):
+        """Continued downwards from 1.5 Hz, a 1 s delay's Pade(8) phase at
+        0.1 Hz read -396 deg against the true -36."""
+        with pytest.raises(LtiError, match=rf"^frequencies must be strictly ascending, got {named} Hz$"):
+            unwrapped_phase_deg(pade_approx(1.0, 8), freqs)
+
+    def test_phase_on_an_ascending_grid_is_the_accumulated_phase(self):
+        """Neighbours less than 180 deg apart give phase_at's accumulated
+        phase; 0.1 to 1.5 Hz in one step, 504 deg, loses a whole turn."""
+        tf = pade_approx(1.0, 8)
+        freqs = np.linspace(0.1, 1.5, 50)
+        dense = unwrapped_phase_deg(tf, freqs)
+        assert dense == pytest.approx(-360.0 * freqs, abs=0.2)
+        assert dense[-1] == pytest.approx(phase_at(tf, 2.0 * math.pi * 1.5), abs=1e-9)
+        coarse = unwrapped_phase_deg(tf, [0.1, 1.5])
+        assert coarse[0] == pytest.approx(dense[0], abs=1e-9)
+        assert coarse[1] == pytest.approx(dense[-1] + 360.0, abs=1e-9)
+
 
 class TestSeries:
     def test_identity(self):

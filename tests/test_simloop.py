@@ -361,6 +361,7 @@ class TestRunClosedLoop:
         rows = trace.csv_rows()
         assert rows[0] == "t_s,omega_g_pu,pD_sent,pD_recv,qD_sent,qD_recv"
         assert len(rows) == len(trace.t_s) + 1
+        assert rows == trace.csv_text().splitlines()
         assert trace.csv_text() == "\n".join(rows) + "\n"
 
 
