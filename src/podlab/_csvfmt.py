@@ -16,10 +16,11 @@ high (``log10`` rounding up to an integer) is only possible within a few
 ulps of a power of ten, where both exponents print the same text; one too
 low gives ``s >= 1e9`` and is caught.  Each field is laid out from a byte
 pattern keyed on ``X``, the digits left after stripping trailing zeros, the
-sign and whether it ends the row, with keys of its own for ``0`` and ``-0``.
-The fields of ``_CHUNK`` rows are joined into one text at a time.  A row
-holding any other value (nan, ±inf, ``X`` out of range, a near-tie, a
-mantissa that rounds up to ``1e9``) is printed by CPython ``%`` instead.
+sign and whether it ends the row, with keys of its own for ``0`` and ``-0``;
+its unused bytes are zero, and dropping them from a span's fields gives its
+text.  A row holding any other value (nan, ±inf, ``X`` out of range, a
+near-tie, a mantissa that rounds up to ``1e9``) is printed by CPython ``%``
+instead.
 """
 from __future__ import annotations
 
@@ -27,11 +28,9 @@ from collections.abc import Iterator
 
 import numpy as np
 
-# rows of a column encoded at a time, which bounds the transient arrays
+# rows encoded and joined into one text at a time, which bounds the transient
+# arrays and strings
 _SPAN = 4096
-# rows joined into one text at a time, which bounds the transient strings: at
-# 1 024 rows they raised the peak memory of formatting a 30 s trace by 0.5 MB
-_CHUNK = 512
 
 _X_LO, _X_HI = -14, 30
 _ZERO = _X_HI - _X_LO + 1  # exponent slot of "0" and "-0"
@@ -135,17 +134,14 @@ def _encode_column(v: np.ndarray, end: bool, out: np.ndarray) -> np.ndarray:
     """
     bits = v.view(np.int64)
     first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    if first.size == v.size:
-        out[:], fallback = _words(v, end)
-        return fallback
     words, fallback = _words(v[first], end)
     runs = np.diff(np.append(first, v.size))
     out[:] = np.repeat(words, runs, axis=0)
     return np.repeat(fallback, runs)
 
 
-def _chunks(columns: list[np.ndarray]) -> Iterator[str]:
-    """The rows of ``columns``, ``_CHUNK`` rows to a text, each row ending in
+def _spans(columns: list[np.ndarray]) -> Iterator[str]:
+    """The rows of ``columns``, ``_SPAN`` rows to a text, each row ending in
     a newline."""
     n_rows, n_cols = len(columns[0]), len(columns)
     fields = np.empty((min(n_rows, _SPAN), n_cols, 2), "<u8")
@@ -155,18 +151,15 @@ def _chunks(columns: list[np.ndarray]) -> Iterator[str]:
         fallback = np.zeros(n, bool)
         for j, v in enumerate(span):
             fallback |= _encode_column(v, j == n_cols - 1, fields[:n, j])
-        for a in range(0, n, _CHUNK):
-            b = min(a + _CHUNK, n)
-            chunk = fields[a:b].view(np.uint8).ravel()
-            text = chunk[chunk != 0].tobytes().decode("ascii")
-            redo = np.flatnonzero(fallback[a:b]).tolist()
-            if redo:
-                rows = text.split("\n")
-                template = ",".join(["%.9g"] * n_cols)
-                for r in redo:
-                    rows[r] = template % tuple(float(c[a + r]) for c in span)
-                text = "\n".join(rows)
-            yield text
+        text = fields[:n].tobytes().translate(None, b"\0").decode("ascii")
+        redo = np.flatnonzero(fallback).tolist()
+        if redo:
+            rows = text.split("\n")
+            template = ",".join(["%.9g"] * n_cols)
+            for r in redo:
+                rows[r] = template % tuple(float(c[r]) for c in span)
+            text = "\n".join(rows)
+        yield text
 
 
 def format_text(header: str, *columns: np.ndarray) -> str:
@@ -181,4 +174,4 @@ def format_text(header: str, *columns: np.ndarray) -> str:
     columns = [np.asarray(c, dtype=float) for c in columns]
     if len({len(c) for c in columns}) > 1:
         raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
-    return "".join([header, "\n", *_chunks(columns)])
+    return "".join([header, "\n", *_spans(columns)])

@@ -1,7 +1,6 @@
 """Open-loop Bode assembly and closed-loop eigenvalue/damping studies."""
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -147,10 +146,8 @@ def _match_targets(
 
 
 class _GainFreeLoop(NamedTuple):
-    """washout * lead-lag * delay without the gain, on its companion form.
-
-    Every array is read-only: one instance serves every gain of a design.
-    """
+    """washout * lead-lag * delay without the gain, on its companion form:
+    one instance serves every gain of a design."""
 
     wl_num: np.ndarray  # washout * lead-lag numerator
     delay_num: np.ndarray
@@ -160,20 +157,12 @@ class _GainFreeLoop(NamedTuple):
     B: np.ndarray
 
 
-@functools.lru_cache(maxsize=64)
-def _gain_free_loop(
-    time_constants: tuple[float, float, float, float],
-    washout_Tw_s: float,
-    delay_tf: TransferFunction,
-) -> _GainFreeLoop:
-    wl = series(washout(washout_Tw_s), leadlag_tf(*time_constants))
+def _gain_free_loop(design: CompensatorDesign, delay_tf: TransferFunction) -> _GainFreeLoop:
+    wl = series(washout(design.washout_Tw_s), leadlag_tf(*design.time_constants))
     # the gain scales the numerator only; the denominator is the same for all
     den = np.asarray(series(wl, delay_tf).den)
     A, B, a = _companion(den)
-    loop = _GainFreeLoop(np.array(wl.num), np.array(delay_tf.num), den[-1], a, A, B)
-    for arr in (loop.wl_num, loop.delay_num, a, A, B):
-        arr.setflags(write=False)
-    return loop
+    return _GainFreeLoop(np.array(wl.num), np.array(delay_tf.num), den[-1], a, A, B)
 
 
 def _ctrl_row(loop: _GainFreeLoop, gain: float) -> tuple[np.ndarray, list]:
@@ -188,7 +177,7 @@ def _ctrl_ss(design: CompensatorDesign, surrogate_tf: TransferFunction, gain: fl
     """State space of gain * washout * lead-lag * delay: the realisation of
     ``series(series(constant(gain), series(washout, lead-lag)), surrogate_tf)``,
     bit for bit."""
-    loop = _gain_free_loop(design.time_constants, design.washout_Tw_s, surrogate_tf)
+    loop = _gain_free_loop(design, surrogate_tf)
     return StateSpace(loop.A, loop.B, *_ctrl_row(loop, gain))
 
 
@@ -200,19 +189,21 @@ def _closed_stack(
     (one gain per loop): a ``(len(gain_rows), N, N)`` stack of ``A + B @ Cu``.
 
     ``A`` and ``B`` do not depend on the gains, so ``loop_blocks`` assembles
-    them once; each row forms only its ``Cu``, from the ``C`` and ``D`` that
-    ``_ctrl_ss`` realises.  Every matrix equals the one that ``loop_blocks``
-    builds for that row alone, bit for bit.
+    them once from each design's gain-free loop; each row forms only its
+    ``Cu``, from the ``C`` and ``D`` that loop gives at that row's gain.
+    Every matrix equals the one that ``loop_blocks`` builds for that row
+    alone, bit for bit.
     """
     plant_A, _, plant_C = plant
-    A, B, _ = loop_blocks(*plant, [_ctrl_ss(d, delay_tf, 0.0) for d in designs])
+    loops = [_gain_free_loop(d, delay_tf) for d in designs]
+    ctrls = [StateSpace(loop.A, loop.B, *_ctrl_row(loop, 0.0)) for loop in loops]
+    A, B, _ = loop_blocks(*plant, ctrls)
     if A.shape[0] > 100:
         raise AnalysisError(f"composed system order {A.shape[0]} exceeds 100")
     n = plant_A.shape[0]
     Cu = np.zeros((len(gain_rows), len(designs), A.shape[0]))
     off = n
-    for i, d in enumerate(designs):
-        loop = _gain_free_loop(d.time_constants, d.washout_Tw_s, delay_tf)
+    for i, loop in enumerate(loops):
         m = loop.A.shape[0]
         for row, gains in zip(Cu, gain_rows):
             C, D = _ctrl_row(loop, gains[i])
@@ -281,11 +272,9 @@ def closed_loop_modes(
     gain: float,
     target_modes_hz: tuple[float, float],
     label: str = "",
-    surrogate_tf: TransferFunction | None = None,
 ) -> ClosedLoopResult:
     """Single-loop closed-loop eigenvalue case with the delay surrogate."""
-    d_tf = surrogate.pade if surrogate_tf is None else surrogate_tf
-    (eigs,) = _closed_rows(_single_loop(plant_ss), [design], [(d_tf, [(gain,)])])
+    (eigs,) = _closed_rows(_single_loop(plant_ss), [design], [(surrogate.pade, [(gain,)])])
     return _loop_result(eigs, target_modes_hz, label or f"gain={gain:g}", gain)
 
 

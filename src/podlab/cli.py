@@ -72,13 +72,16 @@ class _Ctx:
         """``parse`` of a JSON artifact's payload.
 
         Raises ``ConfigError``, naming the artifact and ``stage``, its writer,
-        when the file cannot be read, is not UTF-8 JSON or lacks a key that
-        ``parse`` reads.
+        when the file cannot be read, is not UTF-8 JSON, lacks a key that
+        ``parse`` reads or holds a value of a type or form ``parse`` rejects
+        with ``TypeError`` or ``ValueError``; a ``PodlabError`` of ``parse``
+        propagates.
         """
         path = self._artifact(name, stage)
         try:
             return parse(json.loads(path.read_text(encoding="utf-8")))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
+        # UnicodeDecodeError and json.JSONDecodeError are ValueErrors
+        except (OSError, ValueError, TypeError, KeyError) as exc:
             reason = f"no key {exc}" if isinstance(exc, KeyError) else exc
             raise ConfigError(f"unreadable artifact {path} ({reason}); rerun '{stage}'") from None
 

@@ -9,7 +9,6 @@ from podlab.analysis import (
     _closed_rows,
     _closed_stack,
     _ctrl_ss,
-    _gain_free_loop,
     _match_targets,
     bode_table,
     closed_loop_modes,
@@ -26,7 +25,7 @@ from podlab.poddesign import leadlag_tf, washout
 
 def controller_tf(design, gain=None):
     """gain * washout * lead-lag cascade (no delay model): the transfer-function
-    form that the memoised loop's realisation is checked against."""
+    form that the gain-free loop's realisation is checked against."""
     K = design.gain if gain is None else gain
     return series(
         TransferFunction.constant(K),
@@ -270,8 +269,9 @@ def _same_ss(a, b):
 
 
 class TestMemoisedLoop:
-    """The gain-free loop is realised once per design and delay; every gain
-    and delay case still equals the assembly built from transfer functions."""
+    """The gain-free loop is realised once per design in each stack; every
+    gain and delay case still equals the assembly built from transfer
+    functions."""
 
     def test_to_state_space_matches_reference(self):
         tfs = [
@@ -292,22 +292,12 @@ class TestMemoisedLoop:
         ]
         for ident, ld in zip(identified, loop_designs):
             ss = to_state_space(ident.tf)
-            modes_hz = tuple(w / (2.0 * math.pi) for w in ld.context.omegas)
             cases = [(float(k), surrogate.pade) for k in (0.0, *K, *(2.0 * K))]
             cases += [(ld.design.gain, d_tf) for d_tf in delays]
             for gain, d_tf in cases:
                 ctrl = _hand_built_ctrl(ld.design, d_tf, gain)
                 ref = eigen(_closed_A(ss.A, [ss.B], ss.C, [ctrl]))
-                try:
-                    got = closed_loop_modes(
-                        ss, ld.design, surrogate, gain, modes_hz, surrogate_tf=d_tf
-                    ).eigenvalues
-                except AnalysisError:
-                    # a gain select_gain skips: the same eigenvalues, equally ambiguous
-                    with pytest.raises(AnalysisError):
-                        _match_targets(ref, modes_hz)
-                    ctrl = _ctrl_ss(ld.design, d_tf, gain)
-                    got = eigen(_closed_A(ss.A, [ss.B], ss.C, [ctrl]))
+                (got,) = _closed_rows((ss.A, [ss.B], ss.C), [ld.design], [(d_tf, [(gain,)])])
                 assert got.tobytes() == ref.tobytes()
             # select_gain's stacked closure: every matrix and eigenvalue row
             # equals its own hand-built assembly
@@ -411,25 +401,13 @@ class TestMemoisedLoop:
 
     def test_designs_with_other_time_constants_get_their_own_loop(self, surrogate, loop_designs):
         d = loop_designs[0].design
-        base = _gain_free_loop(d.time_constants, d.washout_Tw_s, surrogate.pade)
-        assert _gain_free_loop(d.time_constants, d.washout_Tw_s, surrogate.pade) is base
         others = [
             dataclasses.replace(d, T1_s=d.T2_s, T2_s=d.T1_s),
             dataclasses.replace(d, T3_s=math.nextafter(d.T3_s, 0.0)),
         ]
         for other in others:
-            loop = _gain_free_loop(other.time_constants, other.washout_Tw_s, surrogate.pade)
-            assert loop is not base
             for gain in (0.0, d.gain):
                 assert _same_ss(
                     _ctrl_ss(other, surrogate.pade, gain),
                     _hand_built_ctrl(other, surrogate.pade, gain),
                 )
-
-    def test_cached_arrays_are_read_only(self, surrogate, loop_designs):
-        d = loop_designs[0].design
-        loop = _gain_free_loop(d.time_constants, d.washout_Tw_s, surrogate.pade)
-        for arr in (loop.wl_num, loop.delay_num, loop.a, loop.A, loop.B):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr.flat[0] = 1.0

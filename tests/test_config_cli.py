@@ -287,6 +287,18 @@ class TestCliPipeline:
         assert main(args + ["--out", str(out2)]) == 0
         assert (pipeline_out / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
+    def test_csv_fields_are_their_own_percent_9g(self, pipeline_out):
+        """Every data field of every CSV artifact is ``'%.9g' % float(field)``,
+        checked field by field without the CSV encoder."""
+        names = ["delay_log.csv", "experiment_p.csv", "experiment_q.csv", "trace.csv"]
+        names += [f"bode_{kind}_{tag}.csv" for kind in ("plant_delay", "open_loop") for tag in "pq"]
+        for name in names:
+            manifest, header, *rows = (pipeline_out / name).read_text().splitlines()
+            assert manifest.startswith("# config_sha256=") and header[0].isalpha()
+            assert rows, name
+            reprinted = [",".join("%.9g" % float(f) for f in row.split(",")) for row in rows]
+            assert reprinted == rows, name
+
     @pytest.mark.parametrize("name", ["experiment_p.csv", "experiment_q.csv", "delay_log.csv"])
     def test_csv_parse_equals_per_value_float(self, workdir, pipeline_out, name):
         _, cfg_path, _ = workdir
@@ -781,10 +793,19 @@ class TestCliErrors:
              lambda text: text[: text.index(",")], "Expecting ',' delimiter"),
             (["analyze", "eig"], "identified_q.json", "sysid fit",
              lambda text: text.replace('"modes"', '"nodes"'), "no key 'modes'"),
+            (["sim", "run"], "design_p.json", "design run",
+             lambda text: json.dumps({**json.loads(text), "gain": "abc"}),
+             "'<' not supported between instances of 'str' and 'int'"),
+            (["sim", "run"], "design_q.json", "design run", lambda text: "[]",
+             "list indices must be integers or slices, not str"),
+            (["design", "run"], "identified_p.json", "sysid fit",
+             lambda text: json.dumps({**json.loads(text), "num": ["x"]}),
+             "could not convert string to float: 'x'"),
         ],
         ids=[
             "truncated-design", "design-without-gain", "truncated-surrogate",
-            "identified-without-modes",
+            "identified-without-modes", "design-gain-of-wrong-type", "design-not-an-object",
+            "identified-non-numeric-num",
         ],
     )
     def test_unreadable_json_artifact_reported(
@@ -799,6 +820,20 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"cli: unreadable artifact {path} ({reason}")
         assert err.endswith(f"); rerun '{earlier}'\n") and err.count("\n") == 1
+
+    def test_podlab_error_of_an_artifact_keeps_its_prefix(
+        self, workdir, pipeline_out, tmp_path, capsys
+    ):
+        """A value that parses but is out of range is the parser's own
+        error, not an unreadable artifact."""
+        _, cfg_path, _ = workdir
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        path = out / "design_p.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "T1_s": 1e6}))
+        assert main(["sim", "run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("poddesign: T1_s=1e+06 outside [") and err.count("\n") == 1
 
     def test_unreadable_json_artifact_console_has_no_traceback(self, workdir, pipeline_out, tmp_path):
         _, cfg_path, _ = workdir

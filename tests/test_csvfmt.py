@@ -38,8 +38,9 @@ class TestFormatRows:
         )
         assert format_text("a,b", x, x[::-1].copy()) == _per_cell("a,b", x, x[::-1])
 
-    def test_rows_span_several_chunks(self):
-        n = 2 * _csvfmt._CHUNK + 17
+    def test_rows_span_several_spans(self):
+        # the last span holds one row
+        n = 2 * _csvfmt._SPAN + 1
         rng = np.random.default_rng(3)
         cols = [np.arange(n) / 1000.0, rng.normal(size=n), rng.normal(scale=1e-5, size=n)]
         text = format_text("t,u,y", *cols)
@@ -78,17 +79,21 @@ def _from_bits(*words):
 class TestRuns:
     """Only the first value of a run of bitwise-equal values is encoded."""
 
-    def test_runs_cross_chunk_and_span_boundaries(self):
-        chunk, span = _csvfmt._CHUNK, _csvfmt._SPAN
-        lengths = [chunk - 1, 2, chunk + 1, span - 2 * chunk - 3, 5, span, 1, 2 * chunk]
+    def test_runs_cross_span_boundaries(self):
+        span = _csvfmt._SPAN
+        lengths = [span - 1, 2, span - 2, 1, 1, span, 3]
         values = np.random.default_rng(17).normal(size=len(lengths))
+        # rows span - 1 and span, either side of the first boundary, are one
+        # run of a subnormal, which CPython prints
+        values[1] = 1e-320
         runs = np.repeat(values, lengths)
         n = runs.size
-        assert n > 2 * span
+        assert runs[span - 1] == runs[span] == 1e-320 != runs[span + 1]
+        assert n > 3 * span
         _assert_runs_print_per_cell(np.arange(n) / 100.0, runs, np.repeat(values[::-1], lengths))
 
     def test_one_run_over_the_whole_column(self):
-        n = _csvfmt._SPAN + _csvfmt._CHUNK + 3
+        n = 2 * _csvfmt._SPAN
         _assert_runs_print_per_cell(np.full(n, 0.1), np.full(n, -2.5e-7))
 
     def test_zero_and_negative_zero_are_different_runs(self):
@@ -103,7 +108,7 @@ class TestRuns:
     def test_values_left_to_cpython_repeated_in_a_run(self):
         near_tie = 123456789.5 * 10.0**-3
         assert not _csvfmt._mantissa(np.array([near_tie]))[2][0]
-        n = 3 * _csvfmt._CHUNK
+        n = _csvfmt._SPAN
         x = np.repeat([1.5, 1e-320, near_tie, 1e-320, 2.0], [5, n, n, 1, 7])
         _assert_runs_print_per_cell(x, np.arange(x.size, dtype=float))
 
