@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -22,7 +22,9 @@ from .lti import (
     series,
     unwrapped_phase_deg,
 )
-from .poddesign import CompensatorDesign, leadlag_tf, washout
+
+if TYPE_CHECKING:
+    from .poddesign import CompensatorDesign
 
 __all__ = [
     "EigenStudy",
@@ -158,7 +160,7 @@ class _GainFreeLoop(NamedTuple):
 
 
 def _gain_free_loop(design: CompensatorDesign, delay_tf: TransferFunction) -> _GainFreeLoop:
-    wl = series(washout(design.washout_Tw_s), leadlag_tf(*design.time_constants))
+    wl = series(design.washout_tf(), design.compensator_tf())
     # the gain scales the numerator only; the denominator is the same for all
     den = np.asarray(series(wl, delay_tf).den)
     A, B, a = _companion(den)

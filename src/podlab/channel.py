@@ -341,9 +341,6 @@ class ChannelInstance:
             i = self._arrival_order[self._arr_ptr]
             if self.t_arrive[i] > t:
                 break
-            if i >= self._send_ptr:
-                # not sent yet at this resolution (zero-delay edge); wait
-                break
             self._arr_ptr += 1
             if self.t_send[i] > self._applied_send_t:
                 self._applied_send_t = self.t_send[i]

@@ -13,6 +13,7 @@ import os
 import sys
 import warnings
 from collections.abc import Callable
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -130,14 +131,17 @@ class _Ctx:
 
     def designs(self) -> tuple[list[CompensatorDesign], tuple[float, ...]]:
         """The p and q designs of ``design run``, and the target modes in Hz."""
-        (dp, omegas), (dq, _) = (
+        (dp, modes_hz), (dq, _) = (
             self.read_json(
                 f"design_{tag}.json", "design run",
-                lambda d: (CompensatorDesign.from_dict(d), d["mode_omegas_rad_s"]),
+                lambda d: (
+                    CompensatorDesign.from_dict(d),
+                    tuple(w / (2.0 * math.pi) for w in d["mode_omegas_rad_s"]),
+                ),
             )
             for tag, _ in _LOOPS
         )
-        return [dp, dq], tuple(w / (2.0 * math.pi) for w in omegas)
+        return [dp, dq], modes_hz
 
     def surrogate(self) -> DelaySurrogate:
         """The fitted surrogate of ``channel fit``, else the one the config implies."""
@@ -214,21 +218,11 @@ def cmd_design_run(ctx: _Ctx) -> None:
     surrogate = ctx.surrogate()
     for (tag, loop), ident in zip(_LOOPS, identified):
         result = pipeline.design_loop(ctx.cfg, ident, surrogate, loop)
-        budget = result.diagnostics.budget
         ctx.write_json(
             f"design_{tag}.json",
             {
                 **result.design.to_dict(),
-                "phase_budget": {
-                    "phi_P_deg": list(budget.phi_P_deg),
-                    "phi_D_deg": list(budget.phi_D_deg),
-                    "phi_C_deg": list(budget.phi_C_deg),
-                    "phi_G_deg": list(budget.phi_G_deg),
-                },
-                "residual_norms": list(result.diagnostics.residual_norms),
-                "selected_start": result.diagnostics.selected_start,
-                "fnorm": result.diagnostics.fnorm,
-                "fnorm_inf": result.diagnostics.fnorm_inf,
+                **asdict(result.diagnostics),
                 "mode_omegas_rad_s": list(result.context.omegas),
             },
         )

@@ -32,6 +32,14 @@ class DelaySurrogate:
     band_hz: tuple[float, float]
     max_phase_err_deg: float
 
+    def __post_init__(self):
+        if isinstance(self.theta_s, bool):
+            raise TypeError("theta_s must not be a bool")
+        if [type(n) for n in self.order] != [int, int]:
+            raise TypeError(f"order must be two integers, got {self.order!r}")
+        if not 0 <= self.theta_s < math.inf:  # TypeError for a non-number
+            raise DelayModelError(f"theta_s must be finite and non-negative, got {self.theta_s!r}")
+
     def to_dict(self) -> dict:
         return {
             "theta_s": self.theta_s,

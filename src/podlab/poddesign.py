@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import analysis
 from .channel import nyquist_limit
 from .delaymodel import DelaySurrogate
 from .errors import AnalysisError, DesignError, InfeasibleOperatingPointError, NyquistLimitError
@@ -49,18 +50,17 @@ _T_MAX_0D = np.array(T_MAX)
 
 @dataclass(frozen=True)
 class PhaseBudget:
-    """Per-mode open-loop phase decomposition (degrees)."""
+    """Per-mode open-loop phase decomposition (degrees); phi_G is the sum
+    of the other three."""
 
     phi_P_deg: tuple[float, float]
     phi_D_deg: tuple[float, float]
     phi_C_deg: tuple[float, float]
+    phi_G_deg: tuple[float, float] = field(init=False)
 
-    @property
-    def phi_G_deg(self) -> tuple[float, float]:
-        return tuple(
-            c + d + p
-            for c, d, p in zip(self.phi_C_deg, self.phi_D_deg, self.phi_P_deg)
-        )
+    def __post_init__(self):
+        parts = zip(self.phi_C_deg, self.phi_D_deg, self.phi_P_deg)
+        object.__setattr__(self, "phi_G_deg", tuple(c + d + p for c, d, p in parts))
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,11 @@ class CompensatorDesign:
     loop: str  # active | reactive
 
     def __post_init__(self):
+        # a bool would pass for a number below, where a comparison refuses
+        # any other non-number with TypeError
+        for f in fields(self):
+            if isinstance(getattr(self, f.name), bool):
+                raise TypeError(f"{f.name} must not be a bool")
         for name in ("T1_s", "T2_s", "T3_s", "T4_s"):
             v = getattr(self, name)
             if not (T_MIN <= v <= T_MAX):
@@ -83,6 +88,8 @@ class CompensatorDesign:
             raise DesignError("gain must be >= 0")
         if self.limit_pu < 0:
             raise DesignError("limit_pu must be >= 0")
+        if not self.washout_Tw_s > 0:
+            raise DesignError("washout time constant must be positive")
         if self.loop not in ("active", "reactive"):
             raise DesignError(f"loop must be 'active' or 'reactive', got {self.loop!r}")
 
@@ -97,11 +104,7 @@ class CompensatorDesign:
         return washout(self.washout_Tw_s)
 
     def to_dict(self) -> dict:
-        return {
-            "T1_s": self.T1_s, "T2_s": self.T2_s, "T3_s": self.T3_s, "T4_s": self.T4_s,
-            "gain": self.gain, "washout_Tw_s": self.washout_Tw_s,
-            "limit_pu": self.limit_pu, "loop": self.loop,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CompensatorDesign":
@@ -321,7 +324,7 @@ class DesignDiagnostics:
     selected_start: int
     fnorm: float
     fnorm_inf: float
-    budget: PhaseBudget
+    phase_budget: PhaseBudget
 
 
 def design_compensator(
@@ -383,18 +386,17 @@ def design_compensator(
         T1_s=float(Ts[0]), T2_s=float(Ts[1]), T3_s=float(Ts[2]), T4_s=float(Ts[3]),
         gain=0.0, washout_Tw_s=washout_Tw_s, limit_pu=limit_pu, loop=loop,
     )
-    budget = PhaseBudget(
-        phi_P_deg=tuple(wrap_phase_deg(p) for p in phi_P),
-        phi_D_deg=tuple(wrap_phase_deg(d) for d in phi_D),
-        phi_C_deg=tuple(leadlag_phase_deg(Ts, w) for w in modes),
-    )
     F = residual_F(r.x, ctx)
     diag = DesignDiagnostics(
         residual_norms=tuple(norms),
         selected_start=len(norms) - 1,
         fnorm=r.fnorm,
         fnorm_inf=float(np.max(np.abs(F))),
-        budget=budget,
+        phase_budget=PhaseBudget(
+            phi_P_deg=tuple(wrap_phase_deg(p) for p in phi_P),
+            phi_D_deg=tuple(wrap_phase_deg(d) for d in phi_D),
+            phi_C_deg=tuple(leadlag_phase_deg(Ts, w) for w in modes),
+        ),
     )
     return design, ctx, diag
 
@@ -422,8 +424,6 @@ def select_gain(
     the grid holds no non-zero candidate, or when every non-zero candidate
     is skipped.
     """
-    from .analysis import _closed_rows, _loop_result, _single_loop  # avoids a cycle
-
     K_grid = np.asarray(K_grid, dtype=float)
     if not np.isfinite(K_grid).all() or np.any(K_grid < 0) or np.any(np.diff(K_grid) <= 0):
         raise DesignError("K_grid must be finite, ascending and non-negative")
@@ -431,14 +431,14 @@ def select_gain(
     if not candidates:
         raise DesignError("K_grid holds no non-zero gain candidate")
 
-    plant = _single_loop(plant_ss)
+    plant = analysis._single_loop(plant_ss)
 
     def eigen_rows(gains) -> list:
-        return _closed_rows(plant, [design], [(surrogate.pade, [(K,) for K in gains])])
+        return analysis._closed_rows(plant, [design], [(surrogate.pade, [(K,) for K in gains])])
 
     def study(K: float, row):
         """The eigen study of the loop at K from its eigenvalue row."""
-        return _loop_result(row, target_modes_hz, f"gain={K:g}", K)
+        return analysis._loop_result(row, target_modes_hz, f"gain={K:g}", K)
 
     def score(result) -> float:
         return min(m.damping_ratio for m in result.target_modes)

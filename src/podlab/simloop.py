@@ -9,7 +9,7 @@ import atexit
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,12 +80,8 @@ class EnsembleStats:
     median_ratio: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_runs": self.n_runs,
-            "metrics": list(self.metrics),
-            "baseline_metric": self.baseline_metric,
-            "median_ratio": self.median_ratio,
-        }
+        # metrics as a list, the type JSON reads back
+        return {**asdict(self), "metrics": list(self.metrics)}
 
 
 @dataclass(frozen=True)
@@ -446,18 +442,20 @@ def _pool_size(n_rows: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_batches)
 
 
-def _batches(rows: list, workers: int) -> list[list]:
-    """``rows`` cut into near-equal consecutive batches of at most
-    ``_BLOCK_RUNS``, in a count that is a multiple of ``workers``."""
-    count = -(-len(rows) // (_BLOCK_RUNS * workers)) * workers
-    size, extra = divmod(len(rows), count)  # the first ``extra`` take one more
+def _cut(rows: list, count: int) -> list[list]:
+    """``rows`` cut into ``count`` near-equal consecutive parts, the first
+    ``len(rows) % count`` of them one row longer."""
+    size, extra = divmod(len(rows), count)
     starts = [i * size + min(i, extra) for i in range(count + 1)]
     return [rows[a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
-def _run_batches(run_batch, batches: list[list]) -> list[list[float]]:
-    """One worker's share: ``run_batch`` over consecutive batches."""
-    return [run_batch(b) for b in batches]
+def _run_share(run_batch, share: list) -> list[float]:
+    """One worker's share of an ensemble's rows: ``run_batch`` over the
+    share cut into near-equal batches of at most ``_BLOCK_RUNS`` rows, the
+    energies in row order."""
+    batches = _cut(share, -(-len(share) // _BLOCK_RUNS))
+    return [e for batch in batches for e in run_batch(batch)]
 
 
 # The process's fork pool, ((pid, workers), executor), or None.  It is
@@ -503,42 +501,40 @@ def _close_pool() -> None:
 atexit.register(_close_pool)
 
 
-def _pooled(workers: int, run_batch, batches: list[list]) -> list[list[float]]:
-    """Each batch's energies, the caller's share run here and the others'
-    on the pool's workers.  A pool whose worker died since the last call is
-    replaced; one whose worker dies during this call is dropped and the
-    error raised.  Any error cancels or waits for the call's other batches
-    before it propagates; the pool stays up unless it broke."""
-    from concurrent.futures import wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    share = len(batches) // workers
-    shares = [batches[i : i + share] for i in range(share, len(batches), share)]
+def _pooled(run_batch, shares: list[list]) -> list[float]:
+    """Every row's energy, in row order: the caller runs share 0 and the
+    pool's workers the others, so one share never touches the pool.  A
+    pool whose worker died since the last call is replaced; one whose
+    worker dies during this call is dropped and the error raised.  Any
+    error cancels or waits for the call's other shares before it
+    propagates; the pool stays up unless it broke."""
+    # BrokenProcessPool's base: its own module imports multiprocessing,
+    # which a one-share call never needs
+    from concurrent.futures import BrokenExecutor, wait
 
     def submit():
-        pool = _fork_pool(workers)
-        return [pool.submit(_run_batches, run_batch, s) for s in shares]
+        return [_fork_pool(len(shares)).submit(_run_share, run_batch, s) for s in shares[1:]]
 
     # The caller submits the other shares, forking the pool on first use,
     # before it runs its own, so its heap sees the same batch arrays as a
     # serial run.
     try:
         futures = submit()
-    except BrokenProcessPool:  # a worker died since the last call
+    except BrokenExecutor:  # a worker died since the last call
         _close_pool()
         futures = submit()
     try:
-        per_batch = _run_batches(run_batch, batches[:share])
+        energies = _run_share(run_batch, shares[0])
         for future in futures:
-            per_batch += future.result()
+            energies += future.result()
     except BaseException as exc:
         for future in futures:
             future.cancel()
         wait(futures)
-        if isinstance(exc, BrokenProcessPool):
+        if isinstance(exc, BrokenExecutor):
             _close_pool()
         raise
-    return per_batch
+    return energies
 
 
 def ensemble(
@@ -556,20 +552,20 @@ def ensemble(
 ) -> EnsembleStats:
     """Seeded Monte-Carlo ensemble; run i uses seed base_seed + i.
 
-    The POD-off baseline and the runs, 1 + n_runs rows, go through the
-    lockstep kernel in near-equal batches of at most ``_BLOCK_RUNS`` rows.
-    The batches run on one worker per CPU the process may use, each on a
-    consecutive share of them, so the energies come back in run order.
-    The caller is the first worker; the others are ``fork`` processes that
-    get the loop model, the grid and their share's seeds, and return only
-    window energies.  One batch, one CPU, a platform without ``fork`` or a
-    daemonic caller runs all the batches in-process (``_pool_size``).
-    Each run's metric equals that of ``run_closed_loop`` with its seed, bit
-    for bit, in either case, as a run does not depend on its batch (see
-    ``_lockstep``).  The workers form one pool per process, which later
-    calls reuse and the interpreter joins at exit (``_fork_pool``); a
-    changed worker count, as under a new affinity mask, or a dead worker
-    replaces it (``_pooled``).
+    The POD-off baseline and the runs, 1 + n_runs rows, are cut into
+    near-equal consecutive shares, one per worker (``_pool_size``: one per
+    CPU the process may use), and each share into near-equal batches of at
+    most ``_BLOCK_RUNS`` rows for the lockstep kernel (``_run_share``), so
+    the energies come back in run order.  The caller runs share 0; the
+    other shares go to ``fork`` workers that get the loop model, the grid
+    and their share's seeds, and return only window energies.  One batch,
+    one CPU, a platform without ``fork`` or a daemonic caller makes one
+    share, which runs in-process.  Each run's metric equals that of
+    ``run_closed_loop`` with its seed, bit for bit, however the rows are
+    cut, as a run does not depend on its batch (see ``_lockstep``).  The
+    workers form one pool per process, which later calls reuse and the
+    interpreter joins at exit (``_fork_pool``); a changed worker count, as
+    under a new affinity mask, or a dead worker replaces it (``_pooled``).
     """
     if n_runs < 1:
         raise SimulationError("n_runs must be >= 1")
@@ -581,13 +577,7 @@ def ensemble(
         _batch_energies, model, t_grid, window, channel_cfg, duration_s, participation
     )
     rows = [None] + [base_seed + i for i in range(n_runs)]  # None: the baseline
-    workers = _pool_size(len(rows))
-    batches = _batches(rows, workers)
-    if workers == 1:
-        per_batch = _run_batches(run_batch, batches)
-    else:
-        per_batch = _pooled(workers, run_batch, batches)
-    baseline, *metrics = (e for energies in per_batch for e in energies)
+    baseline, *metrics = _pooled(run_batch, _cut(rows, _pool_size(len(rows))))
     if baseline == 0.0:
         raise SimulationError(
             f"the POD-off energy over metric window {metric_window} is 0, as in a "

@@ -265,6 +265,21 @@ class TestCliPipeline:
             for phi in d["phase_budget"]["phi_G_deg"]:
                 assert abs(phi) < 5.0
 
+    def test_design_and_ensemble_payload_keys(self, pipeline_out):
+        """The payloads come from their dataclasses, so a field added to one
+        of them shows here as an artifact change."""
+        manifest = {"config_sha256", "seed"}
+        for tag in ("p", "q"):
+            d = json.loads((pipeline_out / f"design_{tag}.json").read_text())
+            assert set(d) == manifest | {
+                "T1_s", "T2_s", "T3_s", "T4_s", "gain", "washout_Tw_s", "limit_pu", "loop",
+                "residual_norms", "selected_start", "fnorm", "fnorm_inf", "phase_budget",
+                "mode_omegas_rad_s",
+            }
+            assert set(d["phase_budget"]) == {"phi_P_deg", "phi_D_deg", "phi_C_deg", "phi_G_deg"}
+        stats = json.loads((pipeline_out / "ensemble.json").read_text())
+        assert set(stats) == manifest | {"n_runs", "metrics", "baseline_metric", "median_ratio"}
+
     def test_eigen_study_shows_improvement(self, pipeline_out):
         study = json.loads((pipeline_out / "eigen_study.json").read_text())
         assert study["combined"]["stable"]
@@ -400,6 +415,11 @@ class TestChannelFit:
         assert delays.min() < delays.max() < 0.3 + 1e-9
         edges = np.linspace(delays.min(), delays.max() * (1 + 1e-9), 21)
         assert hist["bin_edges"] == edges.tolist()
+
+
+def _set(key: str, value):
+    """A corruption of a JSON artifact's text: ``key`` set to ``value``."""
+    return lambda text: json.dumps({**json.loads(text), key: value})
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -801,11 +821,34 @@ class TestCliErrors:
             (["design", "run"], "identified_p.json", "sysid fit",
              lambda text: json.dumps({**json.loads(text), "num": ["x"]}),
              "could not convert string to float: 'x'"),
+            *[
+                (stage.split(), "design_p.json", "design run", _set(key, value), reason)
+                for stage, key, value, reason in [
+                    ("sim run", "washout_Tw_s", "5", "'>' not supported between instances of 'str'"),
+                    ("analyze eig", "washout_Tw_s", "5", "'>' not supported"),
+                    ("sim run", "mode_omegas_rad_s", ["a", 1], "unsupported operand type(s) for /"),
+                    ("analyze eig", "mode_omegas_rad_s", ["a", 1], "unsupported operand type(s)"),
+                    *[("sim run", key, True, f"{key} must not be a bool")
+                      for key in ("gain", "T1_s", "limit_pu", "washout_Tw_s")],
+                ]
+            ],
+            *[
+                (stage.split(), "delay_surrogate.json", "channel fit", _set(key, value), reason)
+                for stage, key, value, reason in [
+                    ("analyze eig", "theta_s", "0.3", "'<=' not supported between instances of"),
+                    ("analyze eig", "theta_s", True, "theta_s must not be a bool"),
+                    ("analyze eig", "order", ["a", "a"], "order must be two integers, got ('a', 'a')"),
+                    ("design run", "order", [2], "order must be two integers, got (2,)"),
+                ]
+            ],
         ],
         ids=[
             "truncated-design", "design-without-gain", "truncated-surrogate",
             "identified-without-modes", "design-gain-of-wrong-type", "design-not-an-object",
             "identified-non-numeric-num",
+            "sim-washout-str", "eig-washout-str", "sim-modes-str", "eig-modes-str",
+            "sim-gain-bool", "sim-T1-bool", "sim-limit-bool", "sim-washout-bool",
+            "eig-theta-str", "eig-theta-bool", "eig-order-str", "design-order-one-int",
         ],
     )
     def test_unreadable_json_artifact_reported(
@@ -820,6 +863,29 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"cli: unreadable artifact {path} ({reason}")
         assert err.endswith(f"); rerun '{earlier}'\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "stage, name, key, value, line",
+        [
+            ("sim run", "design_p.json", "washout_Tw_s", 0,
+             "poddesign: washout time constant must be positive"),
+            ("analyze eig", "design_q.json", "washout_Tw_s", -1.0,
+             "poddesign: washout time constant must be positive"),
+            ("analyze eig", "delay_surrogate.json", "theta_s", -0.1,
+             "delaymodel: theta_s must be finite and non-negative, got -0.1"),
+        ],
+        ids=["sim-washout-zero", "eig-washout-negative", "eig-theta-negative"],
+    )
+    def test_out_of_range_value_keeps_its_prefix(
+        self, workdir, pipeline_out, tmp_path, capsys, stage, name, key, value, line
+    ):
+        _, cfg_path, _ = workdir
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        path = out / name
+        path.write_text(_set(key, value)(path.read_text()))
+        assert main([*stage.split(), "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == line + "\n"
 
     def test_podlab_error_of_an_artifact_keeps_its_prefix(
         self, workdir, pipeline_out, tmp_path, capsys

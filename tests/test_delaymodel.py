@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -108,6 +109,25 @@ class TestBuildSurrogate:
         low["design"]["max_pade_order"] = 2
         with pytest.raises(DelayModelError, match="order"):
             surrogate_for(low, 5.0)
+
+    @pytest.mark.parametrize(
+        "change, error, match",
+        [
+            ({"theta_s": True}, TypeError, "theta_s must not be a bool"),
+            ({"theta_s": "0.3"}, TypeError, "not supported"),
+            ({"theta_s": -0.1}, DelayModelError, "finite and non-negative"),
+            ({"theta_s": math.inf}, DelayModelError, "finite and non-negative"),
+            ({"order": (2,)}, TypeError, "order must be two integers"),
+            ({"order": (2.0, 2)}, TypeError, "order must be two integers"),
+            ({"order": (True, 2)}, TypeError, "order must be two integers"),
+        ],
+        ids=["theta-bool", "theta-str", "theta-negative", "theta-inf", "order-one-int",
+             "order-float", "order-bool"],
+    )
+    def test_surrogate_fields_checked(self, cfg, change, error, match):
+        sur = surrogate_for(cfg, 0.3)
+        with pytest.raises(error, match=match):
+            dataclasses.replace(sur, **change)
 
     def test_to_dict_roundtrip_fields(self, cfg):
         sur = surrogate_for(cfg, 0.3)

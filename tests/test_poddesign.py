@@ -250,6 +250,20 @@ class TestCompensatorDesignDataclass:
             CompensatorDesign(T1_s=1.0, T2_s=1.0, T3_s=1.0, T4_s=1.0,
                               gain=0.1, washout_Tw_s=5.0, limit_pu=0.05, loop="tertiary")
 
+    @pytest.mark.parametrize("Tw", [0.0, -5.0, math.nan])
+    def test_non_positive_washout_rejected(self, Tw):
+        with pytest.raises(DesignError, match="washout time constant must be positive"):
+            CompensatorDesign(T1_s=1.0, T2_s=1.0, T3_s=1.0, T4_s=1.0,
+                              gain=0.1, washout_Tw_s=Tw, limit_pu=0.05, loop="active")
+
+    def test_to_dict_follows_the_fields(self):
+        d = CompensatorDesign(T1_s=1.0, T2_s=0.2, T3_s=0.5, T4_s=0.1,
+                              gain=0.3, washout_Tw_s=5.0, limit_pu=0.05, loop="active")
+        assert list(d.to_dict().items()) == [
+            ("T1_s", 1.0), ("T2_s", 0.2), ("T3_s", 0.5), ("T4_s", 0.1),
+            ("gain", 0.3), ("washout_Tw_s", 5.0), ("limit_pu", 0.05), ("loop", "active"),
+        ]
+
     def test_tf_construction(self):
         d = CompensatorDesign(T1_s=1.0, T2_s=0.2, T3_s=0.5, T4_s=0.1,
                               gain=0.3, washout_Tw_s=5.0, limit_pu=0.05, loop="active")
@@ -339,7 +353,7 @@ class TestDesignCompensator:
 
     def test_budget_within_five_degrees(self, loop_designs):
         for ld in loop_designs:
-            for phi in ld.diagnostics.budget.phi_G_deg:
+            for phi in ld.diagnostics.phase_budget.phi_G_deg:
                 assert abs(phi) < 5.0
 
     def test_time_constants_within_bounds(self, loop_designs):

@@ -99,6 +99,13 @@ def own_pool():
     simloop._close_pool()
 
 
+def _batches(rows: list, workers: int) -> list[list]:
+    """The batches that ``ensemble`` runs ``rows`` in on ``workers``
+    workers: each share's batches, as its share runner cuts them."""
+    shares = simloop._cut(rows, workers)
+    return [batch for share in shares for batch in simloop._run_share(lambda b: [b], share)]
+
+
 def _worker_pids() -> set[int]:
     return {p.pid for p in multiprocessing.active_children()}
 
@@ -200,7 +207,7 @@ class TestLockstepKernel:
         stats = ensemble(2 * B, 5, plant, dp, dq, chan, scenario, (0.5, 3.0), duration_s=3.0, dt=1e-3)
         # and the runs on either side of each edge of the batches it ran
         rows = [None] * (2 * B + 1)
-        batches = simloop._batches(rows, simloop._pool_size(len(rows)))
+        batches = _batches(rows, simloop._pool_size(len(rows)))
         edges = np.cumsum([len(b) for b in batches])[:-1].tolist()
         fixed = {0, B - 2, B - 1, 2 * B - 2, 2 * B - 1}
         for i in sorted(fixed | {e - 2 for e in edges} | {e - 1 for e in edges}):
@@ -546,7 +553,7 @@ class TestEnsembleWorkers:
     )
     def test_batches(self, n_rows, workers, sizes):
         rows = list(range(n_rows))
-        batches = simloop._batches(rows, workers)
+        batches = _batches(rows, workers)
         assert [len(b) for b in batches] == sizes
         assert [r for b in batches for r in b] == rows
 
@@ -726,8 +733,20 @@ class TestEnsembleWorkers:
         assert (info.value.mode_freq_hz, info.value.f_max_hz) == (0.9, 0.5)
         assert len(_worker_pids()) == workers - 1  # the pool stays up
 
+    def test_one_share_never_touches_the_pool(self, plant, designs, chan, scenario, monkeypatch):
+        dp, dq = designs
+        one_batch = (3, 3, plant, dp, dq, chan, scenario, (0.5, 2.0))
+        with monkeypatch.context() as m:
+            m.setattr(simloop, "_fork_pool", None)
+            m.setattr(simloop, "_close_pool", None)
+            serial = self._serial(plant, designs, chan, scenario)  # three batches, one CPU
+            small = ensemble(*one_batch, duration_s=2.0, dt=1e-3)
+        assert serial == self._wide(plant, designs, chan, scenario)
+        assert small.metrics == serial.metrics[:3]
+
     def test_window_checked_before_any_batch(self, plant, designs, chan, scenario, monkeypatch):
-        monkeypatch.setattr(simloop, "_batches", None)
+        monkeypatch.setattr(simloop, "_cut", None)
+        monkeypatch.setattr(simloop, "_run_share", None)
         dp, dq = designs
         with pytest.raises(SimulationError, match="fewer than two samples"):
             ensemble(
